@@ -214,67 +214,117 @@ def _checked(n: int, what: str) -> CatCode:
     return IntV(n)
 
 
-def _rule(c: CatCode, primitive_only: bool) -> tuple[CatCode, str] | None:
-    """Try every rewrite rule at this node."""
-    if not primitive_only:
-        match c:
-            case Ap(AppC(x, y), z):
-                return Ap(EPS, PairV(Ap(x, z), Ap(y, z))), "app"
-            case Ap(Bang(0), PairV(_, y)):
-                return y, "bang"
-            case Ap(Bang(n), PairV(x, _)) if n > 0:
-                return Ap(Bang(n - 1), x), "bang"
-            case Ap(Ap(LamC(x), y), z):
-                return Ap(x, PairV(y, z)), "lam"
-            case Ap(QuoteC(x), _):
-                return x, "quote"
-    else:
+def _rule(c: Ap, primitive_only: bool) -> tuple[CatCode, str] | None:
+    """The rewrite rule for the juxtaposition ``c``, if any; every rule
+    has one at its root.  Rules are picked by the type of the applied
+    code, so a juxtaposition no rule fits costs a few type checks."""
+    f, z = c.fun, c.arg
+    kind = type(f)
+    if kind is Comp:
+        return Ap(f.left, Ap(f.right, z)), "ass"
+    if kind is Couple:
+        return PairV(Ap(f.left, z), Ap(f.right, z)), "dpair"
+    if kind is PairV:
+        # defining equation of the pairing combinator: [x,y] z = z x y
+        return Ap(Ap(z, f.left), f.right), "pair"
+    if kind is Ap:
+        head = type(f.fun)
+        if head is LamC and not primitive_only:
+            return Ap(f.fun.body, PairV(f.arg, z)), "lam"
+        if head is KConst and type(f.arg) is IntV and type(z) is IntV:
+            op = type(f.fun.value)
+            if op is AddCurried:
+                return _checked(f.arg.n + z.n, "add"), "delta"
+            if op is SubCurried:
+                return _checked(f.arg.n - z.n, "sub"), "delta"
+        return None
+    if kind is AppC:
+        if primitive_only:
+            return None
+        return Ap(EPS, PairV(Ap(f.left, z), Ap(f.right, z))), "app"
+    if kind is QuoteC:
+        return (f.val, "quote") if not primitive_only else None
+    if kind is LamC:
         # the quote rule read through 'M = L(M o Snd)
-        match c:
-            case Ap(LamC(Comp(m, SndC())), _):
-                return m, "quote"
-    match c:
-        case Ap(Comp(x, y), z):
-            return Ap(x, Ap(y, z)), "ass"
-        case Ap(FstC(), PairV(x, _)):
-            return x, "fst"
-        case Ap(SndC(), PairV(_, y)):
-            return y, "snd"
-        case Ap(Couple(x, y), z):
-            return PairV(Ap(x, z), Ap(y, z)), "dpair"
-        case Ap(PairV(x, y), z):
-            # defining equation of the pairing combinator: [x,y] z = z x y
-            return Ap(Ap(z, x), y), "pair"
-        case Ap(Eps(), PairV(Ap(LamC(x), y), z)):
-            return Ap(x, PairV(y, z)), "ac"
-        case Ap(IdC(), x):
-            return x, "id"
-        case Ap(KConst(AddPair()), PairV(IntV(m), IntV(n))):
-            return _checked(m + n, "+"), "delta"
-        case Ap(Ap(KConst(AddCurried()), IntV(m)), IntV(n)):
-            return _checked(m + n, "add"), "delta"
-        case Ap(Ap(KConst(SubCurried()), IntV(m)), IntV(n)):
-            return _checked(m - n, "sub"), "delta"
-        case Ap(Eps(), PairV(f, z)):
-            return Ap(f, z), "eps"
+        body = f.body
+        if primitive_only and type(body) is Comp and \
+                type(body.right) is SndC:
+            return body.left, "quote"
+        return None
+    if type(z) is not PairV:
+        return (z, "id") if kind is IdC else None
+    if kind is Eps:
+        x = z.left
+        if type(x) is Ap and type(x.fun) is LamC:
+            return Ap(x.fun.body, PairV(x.arg, z.right)), "ac"
+        return Ap(x, z.right), "eps"
+    if kind is FstC:
+        return z.left, "fst"
+    if kind is SndC:
+        return z.right, "snd"
+    if kind is Bang and not primitive_only:
+        if f.n == 0:
+            return z.right, "bang"
+        if f.n > 0:
+            return Ap(Bang(f.n - 1), z.left), "bang"
+        return None
+    if kind is KConst and type(f.value) is AddPair and \
+            type(z.left) is IntV and type(z.right) is IntV:
+        return _checked(z.left.n + z.right.n, "+"), "delta"
+    if kind is IdC:
+        return z, "id"
     return None
 
 
-def _step(c: CatCode, primitive_only: bool) -> tuple[CatCode, str] | None:
-    """Leftmost-innermost: children left to right, then the node."""
-    match c:
-        case Ap(x, y) | AppC(x, y) | Couple(x, y) | PairV(x, y) | Comp(x, y):
-            hit = _step(x, primitive_only)
-            if hit is not None:
-                return type(c)(hit[0], y), hit[1]
-            hit = _step(y, primitive_only)
-            if hit is not None:
-                return type(c)(x, hit[0]), hit[1]
-        case LamC(x) | QuoteC(x):
-            hit = _step(x, primitive_only)
-            if hit is not None:
-                return type(c)(hit[0]), hit[1]
-    return _rule(c, primitive_only)
+_PAIRS = (AppC, Couple, PairV, Comp)
+
+
+def _step(c: CatCode, primitive_only: bool,
+          memo: dict[int, CatCode] | None = None
+          ) -> tuple[CatCode, str] | None:
+    """Leftmost-innermost: children left to right, then the node.
+
+    ``memo`` maps ``id(node)`` to the node for subtrees already found to
+    hold no redex; they are skipped and every redex-free subtree met is
+    added.  Share one memo only across the steps of one evaluation with
+    one ``primitive_only``.
+    """
+    if memo is None:
+        memo = {}
+    kind = type(c)
+    if kind is Ap:
+        if id(c) in memo:
+            return None
+        x, y = c.fun, c.arg
+        hit = _step(x, primitive_only, memo)
+        if hit is not None:
+            return Ap(hit[0], y), hit[1]
+        hit = _step(y, primitive_only, memo)
+        if hit is not None:
+            return Ap(x, hit[0]), hit[1]
+        hit = _rule(c, primitive_only)
+        if hit is not None:
+            return hit
+    elif kind in _PAIRS:
+        if id(c) in memo:
+            return None
+        x, y = c.left, c.right
+        hit = _step(x, primitive_only, memo)
+        if hit is not None:
+            return kind(hit[0], y), hit[1]
+        hit = _step(y, primitive_only, memo)
+        if hit is not None:
+            return kind(x, hit[0]), hit[1]
+    elif kind is LamC or kind is QuoteC:
+        if id(c) in memo:
+            return None
+        hit = _step(c.body if kind is LamC else c.val, primitive_only, memo)
+        if hit is not None:
+            return kind(hit[0]), hit[1]
+    else:
+        return None
+    memo[id(c)] = c
+    return None
 
 
 def cam_step(c: CatCode) -> CatCode | None:
@@ -289,15 +339,17 @@ def cam_eval_closure(compiled: CatCode, max_steps: int = 10000,
     """Apply compiled code to the empty environment and rewrite to a
     value.  With ``primitive_only`` the abbreviation rules (app, bang,
     lam, quote-on-nodes) are disabled; the caller is expected to pass
-    code through :func:`expand_abbreviations` first."""
+    code through :func:`expand_abbreviations` first.  The memo of
+    redex-free subtrees lives for this call only."""
     if not primitive_only:
         compiled = unfold_constant_quotes(compiled)
     term: CatCode = Ap(compiled, UNIT)
     trace: list[tuple[str | None, CatCode]] | None = \
         [(None, term)] if collect_trace else None
+    memo: dict[int, CatCode] = {}
     steps = 0
     while steps < max_steps:
-        hit = _step(term, primitive_only)
+        hit = _step(term, primitive_only, memo)
         if hit is None:
             return CamOutcome(term, steps, Status.NORMAL_FORM,
                               tuple(trace) if trace is not None else None)

@@ -212,10 +212,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"appliq: evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL
 
-    ints = [v for v in values if v is not None]
+    # Every backend must reach the same integer: one that reached a
+    # different integer, or none while another did, is a disagreement.
     agreement = None
-    if len(ints) >= 2:
-        agreement = all(v == ints[0] for v in ints)
+    if len(values) >= 2 and any(v is not None for v in values):
+        agreement = all(v == values[0] for v in values)
     report = {"source": print_term(term), "backends": backends,
               "agreement": agreement}
 

@@ -64,6 +64,12 @@ def _checked(n: int, what: str) -> Term:
     return Const(IntLit(n))
 
 
+def _int(t: Term) -> int | None:
+    if type(t) is Const and type(t.value) is IntLit:
+        return t.value.value
+    return None
+
+
 def _as_literal_pair(t: Term) -> tuple[int, int] | None:
     """Match a pair of integer literals, either as a ``PairLit`` or in the
     desugared shape ``\\r. r m n``."""
@@ -82,18 +88,28 @@ def delta_step(t: Term) -> Term | None:
     Pair addition fires only once its argument is literally a pair of
     integer literals; curried addition and subtraction need two literal
     arguments.  Overflow outside 64-bit range raises ``OverflowError``.
+    Rules are picked by the types of the nodes on the spine, so a node
+    no rule fits costs a few type checks.
     """
-    match t:
-        case App(Const(AddPair()), p):
-            pair = _as_literal_pair(p)
+    if type(t) is not App:
+        return None
+    fun = t.fun
+    if type(fun) is Const:
+        op = type(fun.value)
+        if op is AddPair:
+            pair = _as_literal_pair(t.arg)
             if pair is not None:
                 return _checked(pair[0] + pair[1], "+")
-        case App(App(Const(AddCurried()), Const(IntLit(m))), Const(IntLit(n))):
-            return _checked(m + n, "add")
-        case App(App(Const(SubCurried()), Const(IntLit(m))), Const(IntLit(n))):
-            return _checked(m - n, "sub")
-        case App(Const(FixConst()), f):
-            return App(f, t)
+        elif op is FixConst:
+            return App(t.arg, t)
+        return None
+    if type(fun) is App and type(fun.fun) is Const:
+        op = type(fun.fun.value)
+        if op is AddCurried or op is SubCurried:
+            m, n = _int(fun.arg), _int(t.arg)
+            if m is not None and n is not None:
+                return _checked(m + n, "add") if op is AddCurried \
+                    else _checked(m - n, "sub")
     return None
 
 
@@ -121,86 +137,122 @@ def eta_step(t: Term) -> Term | None:
     return None
 
 
-def beta_step(t: Term, use_eta: bool = False) -> Term | None:
+def _eta_redex(t: Lam) -> Term | None:
+    """``f`` when ``t`` is ``\\x. f x`` with ``x`` not free in ``f``."""
+    body = t.body
+    if type(body) is App and type(body.arg) is Var and \
+            body.arg.name == t.binder and t.binder not in free_vars(body.fun):
+        return body.fun
+    return None
+
+
+def _normal(t: Term, use_eta: bool, memo: dict[int, Term]) -> Term | None:
+    kind = type(t)
+    if kind is Var or kind is Const or id(t) in memo:
+        return None
+    if kind is App:
+        d = delta_step(t)
+        if d is not None:
+            return d
+        fun = t.fun
+        if type(fun) is Lam:
+            return subst(t.arg, fun.binder, fun.body)
+        f = _normal(fun, use_eta, memo)
+        if f is not None:
+            return App(f, t.arg)
+        a = _normal(t.arg, use_eta, memo)
+        if a is not None:
+            return App(fun, a)
+    elif kind is Lam:
+        if use_eta:
+            f = _eta_redex(t)
+            if f is not None:
+                return f
+        b = _normal(t.body, use_eta, memo)
+        if b is not None:
+            return Lam(t.binder, b)
+    elif kind is PairLit:
+        l = _normal(t.left, use_eta, memo)
+        if l is not None:
+            return PairLit(l, t.right)
+        r = _normal(t.right, use_eta, memo)
+        if r is not None:
+            return PairLit(t.left, r)
+    memo[id(t)] = t
+    return None
+
+
+def _applicative(t: Term, use_eta: bool,
+                 memo: dict[int, Term]) -> Term | None:
+    kind = type(t)
+    if kind is Var or kind is Const or id(t) in memo:
+        return None
+    if kind is App:
+        f = _applicative(t.fun, use_eta, memo)
+        if f is not None:
+            return App(f, t.arg)
+        a = _applicative(t.arg, use_eta, memo)
+        if a is not None:
+            return App(t.fun, a)
+        d = delta_step(t)
+        if d is not None:
+            return d
+        if type(t.fun) is Lam:
+            return subst(t.arg, t.fun.binder, t.fun.body)
+    elif kind is Lam:
+        b = _applicative(t.body, use_eta, memo)
+        if b is not None:
+            return Lam(t.binder, b)
+        if use_eta:
+            f = _eta_redex(t)
+            if f is not None:
+                return f
+    elif kind is PairLit:
+        l = _applicative(t.left, use_eta, memo)
+        if l is not None:
+            return PairLit(l, t.right)
+        r = _applicative(t.right, use_eta, memo)
+        if r is not None:
+            return PairLit(t.left, r)
+    memo[id(t)] = t
+    return None
+
+
+def beta_step(t: Term, use_eta: bool = False,
+              memo: dict[int, Term] | None = None) -> Term | None:
     """Contract the leftmost-outermost beta/delta redex, if any; with
     ``use_eta``, an eta redex counts at positions where no beta/delta
-    redex applies."""
-    d = delta_step(t)
-    if d is not None:
-        return d
-    match t:
-        case App(Lam(x, body), arg):
-            return subst(arg, x, body)
-    if use_eta:
-        match t:
-            case Lam(x, App(f, Var(x2))) if x == x2 and x not in free_vars(f):
-                return f
-    match t:
-        case App(fun, arg):
-            f = beta_step(fun, use_eta)
-            if f is not None:
-                return App(f, arg)
-            a = beta_step(arg, use_eta)
-            return App(fun, a) if a is not None else None
-        case Lam(x, body):
-            b = beta_step(body, use_eta)
-            return Lam(x, b) if b is not None else None
-        case PairLit(left, right):
-            l = beta_step(left, use_eta)
-            if l is not None:
-                return PairLit(l, right)
-            r = beta_step(right, use_eta)
-            return PairLit(left, r) if r is not None else None
-    return None
+    redex applies.
+
+    ``memo`` maps ``id(node)`` to the node for subtrees already found to
+    hold no redex; they are skipped and every redex-free subtree met is
+    added.  Share one memo only across the steps of one reduction with
+    one ``use_eta``.
+    """
+    return _normal(t, use_eta, {} if memo is None else memo)
 
 
-def applicative_step(t: Term, use_eta: bool = False) -> Term | None:
-    """Contract the leftmost-innermost beta/delta redex, if any."""
-    match t:
-        case App(fun, arg):
-            f = applicative_step(fun, use_eta)
-            if f is not None:
-                return App(f, arg)
-            a = applicative_step(arg, use_eta)
-            if a is not None:
-                return App(fun, a)
-        case Lam(x, body):
-            b = applicative_step(body, use_eta)
-            if b is not None:
-                return Lam(x, b)
-        case PairLit(left, right):
-            l = applicative_step(left, use_eta)
-            if l is not None:
-                return PairLit(l, right)
-            r = applicative_step(right, use_eta)
-            if r is not None:
-                return PairLit(left, r)
-    d = delta_step(t)
-    if d is not None:
-        return d
-    match t:
-        case App(Lam(x, body), arg):
-            return subst(arg, x, body)
-    if use_eta:
-        match t:
-            case Lam(x, App(f, Var(x2))) if x == x2 and x not in free_vars(f):
-                return f
-    return None
+def applicative_step(t: Term, use_eta: bool = False,
+                     memo: dict[int, Term] | None = None) -> Term | None:
+    """Contract the leftmost-innermost beta/delta redex, if any;
+    ``memo`` as for :func:`beta_step`."""
+    return _applicative(t, use_eta, {} if memo is None else memo)
 
 
 def reduce(t: Term, cfg: EvalConfig | None = None,
            collect_trace: bool = False) -> ReduceOutcome:
     """Iterate single steps under the configured strategy until no redex
     remains or the budget runs out.  Pair literals are desugared up
-    front."""
+    front.  The memo of redex-free subtrees lives for this call only."""
     cfg = cfg or EvalConfig()
-    step = beta_step if cfg.strategy is Strategy.NORMAL_ORDER \
-        else applicative_step
+    step = _normal if cfg.strategy is Strategy.NORMAL_ORDER \
+        else _applicative
     t = desugar_pairs(t)
     trace = [t] if collect_trace else None
+    memo: dict[int, Term] = {}
     steps = 0
     while steps < cfg.max_steps:
-        nxt = step(t, cfg.use_eta)
+        nxt = step(t, cfg.use_eta, memo)
         if nxt is None:
             return ReduceOutcome(t, steps, Status.NORMAL_FORM,
                                  tuple(trace) if trace is not None else None)

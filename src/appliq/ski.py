@@ -160,49 +160,81 @@ def _as_literal_pair(t: CombTerm) -> tuple[int, int] | None:
     return None
 
 
-def _delta(t: CombTerm) -> CombTerm | None:
-    match t:
-        case CApp(CConst(AddPair()), p):
-            pair = _as_literal_pair(p)
+def _int(t: CombTerm) -> int | None:
+    if type(t) is CConst and type(t.value) is IntLit:
+        return t.value.value
+    return None
+
+
+def _rule(t: CApp) -> CombTerm | None:
+    """The I/K/S/delta rule for the application ``t``, dispatched on the
+    types of the first three nodes of its spine."""
+    fun, arg = t.fun, t.arg
+    kind = type(fun)
+    if kind is CI:
+        return arg
+    if kind is CConst:
+        op = type(fun.value)
+        if op is AddPair:
+            pair = _as_literal_pair(arg)
             if pair is not None:
                 return _checked(pair[0] + pair[1], "+")
-        case CApp(CApp(CConst(AddCurried()), CConst(IntLit(m))), CConst(IntLit(n))):
-            return _checked(m + n, "add")
-        case CApp(CApp(CConst(SubCurried()), CConst(IntLit(m))), CConst(IntLit(n))):
-            return _checked(m - n, "sub")
-        case CApp(CConst(FixConst()), f):
-            return CApp(f, t)
+        elif op is FixConst:
+            return CApp(arg, t)
+        return None
+    if kind is not CApp:
+        return None
+    head = fun.fun
+    kind = type(head)
+    if kind is CK:
+        return fun.arg
+    if kind is CConst:
+        op = type(head.value)
+        if op is AddCurried or op is SubCurried:
+            m, n = _int(fun.arg), _int(arg)
+            if m is not None and n is not None:
+                return _checked(m + n, "add") if op is AddCurried \
+                    else _checked(m - n, "sub")
+        return None
+    if kind is CApp and type(head.fun) is CS:
+        return CApp(CApp(head.arg, arg), CApp(fun.arg, arg))
     return None
 
 
-def ski_step(t: CombTerm) -> CombTerm | None:
-    """Contract the leftmost-outermost I/K/S/delta redex, if any."""
-    match t:
-        case CApp(CI(), x):
-            return x
-        case CApp(CApp(CK(), x), _):
-            return x
-        case CApp(CApp(CApp(CS(), x), y), z):
-            return CApp(CApp(x, z), CApp(y, z))
-    d = _delta(t)
-    if d is not None:
-        return d
-    match t:
-        case CApp(fun, arg):
-            f = ski_step(fun)
-            if f is not None:
-                return CApp(f, arg)
-            a = ski_step(arg)
-            return CApp(fun, a) if a is not None else None
+def _step(t: CombTerm, memo: dict[int, CombTerm]) -> CombTerm | None:
+    if type(t) is not CApp or id(t) in memo:
+        return None
+    hit = _rule(t)
+    if hit is not None:
+        return hit
+    f = _step(t.fun, memo)
+    if f is not None:
+        return CApp(f, t.arg)
+    a = _step(t.arg, memo)
+    if a is not None:
+        return CApp(t.fun, a)
+    memo[id(t)] = t
     return None
+
+
+def ski_step(t: CombTerm,
+             memo: dict[int, CombTerm] | None = None) -> CombTerm | None:
+    """Contract the leftmost-outermost I/K/S/delta redex, if any.
+
+    ``memo`` maps ``id(node)`` to the node for subtrees already found to
+    hold no redex; they are skipped and every redex-free subtree met is
+    added.  Share one memo only across the steps of one reduction.
+    """
+    return _step(t, {} if memo is None else memo)
 
 
 def ski_reduce(t: CombTerm, max_steps: int = 10000,
                collect_trace: bool = False) -> SkiOutcome:
     trace = [t] if collect_trace else None
+    memo: dict[int, CombTerm] = {}
     steps = 0
     while steps < max_steps:
-        nxt = ski_step(t)
+        nxt = _step(t, memo)
         if nxt is None:
             return SkiOutcome(t, steps, Status.NORMAL_FORM,
                               tuple(trace) if trace is not None else None)

@@ -206,58 +206,90 @@ def _substitute_params(body: Term, bindings: dict[str, Term]) -> Term:
     raise TypeError(f"not a term: {body!r}")
 
 
-def _spine(t: Term) -> tuple[Term, list[Term]]:
+def _head_rule(t: App, defs: dict[str, ScDef]) -> Term | None:
+    """Unfold a definition applied to at least its arity, or apply a pair
+    literal, at the top of the application spine ``t``."""
+    head, n = t, 0
+    while type(head) is App:
+        head, n = head.fun, n + 1
+    if type(head) is Var:
+        sc = defs.get(head.name)
+        if sc is None or n < len(sc.params):
+            return None
+    elif type(head) is not PairLit:
+        return None
     args: list[Term] = []
-    while isinstance(t, App):
+    while type(t) is App:
         args.append(t.arg)
         t = t.fun
     args.reverse()
-    return t, args
+    if type(head) is PairLit:
+        # [l, r] f  ->  f l r
+        return apps(args[0], head.left, head.right, *args[1:])
+    arity = len(sc.params)
+    unfolded = _substitute_params(sc.body, dict(zip(sc.params, args[:arity])))
+    return apps(unfolded, *args[arity:])
 
 
-def _sc_step(t: Term, defs: dict[str, ScDef]) -> Term | None:
-    """Leftmost-outermost unfold/delta/pair-application step."""
-    d = delta_step(t)
-    if d is not None:
-        return d
-    head, args = _spine(t)
-    match head:
-        case Var(name) if name in defs:
-            sc = defs[name]
-            arity = len(sc.params)
-            if len(args) >= arity:
-                unfolded = _substitute_params(
-                    sc.body, dict(zip(sc.params, args[:arity])))
-                return apps(unfolded, *args[arity:])
-        case PairLit(left, right) if args:
-            # [l, r] f  ->  f l r
-            return apps(args[0], left, right, *args[1:])
-    match t:
-        case App(fun, arg):
-            f = _sc_step(fun, defs)
-            if f is not None:
-                return App(f, arg)
-            a = _sc_step(arg, defs)
-            return App(fun, a) if a is not None else None
-        case PairLit(left, right):
-            l = _sc_step(left, defs)
-            if l is not None:
-                return PairLit(l, right)
-            r = _sc_step(right, defs)
-            return PairLit(left, r) if r is not None else None
+def _sc_step(t: Term, defs: dict[str, ScDef],
+             memo: dict[int, Term] | None = None,
+             top: bool = True) -> Term | None:
+    """Leftmost-outermost unfold/delta/pair-application step.
+
+    ``memo`` maps ``id(node)`` to the node for subtrees already found to
+    hold no redex; they are skipped and every redex-free subtree met is
+    added.  Share one memo only across the steps of one reduction with
+    one set of definitions.  ``top`` is false for the function part of
+    an application: a spine-head rule that did not fire at the top of
+    the spine cannot fire below it, where there are fewer arguments.
+    """
+    if memo is None:
+        memo = {}
+    kind = type(t)
+    if kind is Var:
+        sc = defs.get(t.name)
+        if sc is not None and not sc.params and top:
+            return _substitute_params(sc.body, {})
+        return None
+    if kind is Const or id(t) in memo:
+        return None
+    if kind is App:
+        d = delta_step(t)
+        if d is not None:
+            return d
+        if top:
+            d = _head_rule(t, defs)
+            if d is not None:
+                return d
+        f = _sc_step(t.fun, defs, memo, False)
+        if f is not None:
+            return App(f, t.arg)
+        a = _sc_step(t.arg, defs, memo)
+        if a is not None:
+            return App(t.fun, a)
+    elif kind is PairLit:
+        l = _sc_step(t.left, defs, memo)
+        if l is not None:
+            return PairLit(l, t.right)
+        r = _sc_step(t.right, defs, memo)
+        if r is not None:
+            return PairLit(t.left, r)
+    memo[id(t)] = t
     return None
 
 
 def sc_reduce(p: ScProgram, max_steps: int = 10000,
               collect_trace: bool = False) -> ScOutcome:
     """Normal-order reduction of the main expression, unfolding a
-    definition whenever it is applied to at least its arity."""
+    definition whenever it is applied to at least its arity.  The memo
+    of redex-free subtrees lives for this call only."""
     defs = {d.name: d for d in p.defs}
     t = p.main
     trace = [t] if collect_trace else None
+    memo: dict[int, Term] = {}
     steps = 0
     while steps < max_steps:
-        nxt = _sc_step(t, defs)
+        nxt = _sc_step(t, defs, memo)
         if nxt is None:
             return ScOutcome(t, steps, Status.NORMAL_FORM,
                              tuple(trace) if trace is not None else None)

@@ -178,22 +178,29 @@ def subst(g: Term, x: str, f: Term) -> Term:
     and ``x`` actually occurs free in the body; the replacement binder is
     fresh for every variable of both ``g`` and the body.
     """
+    return _subst(g, free_vars(g), x, f)
+
+
+def _subst(g: Term, g_free: frozenset[str], x: str, f: Term) -> Term:
+    """:func:`subst` with ``g_free`` the free variables of ``g``."""
     match f:
         case Var(name):
             return g if name == x else f
         case Const():
             return f
         case App(fun, arg):
-            return App(subst(g, x, fun), subst(g, x, arg))
+            return App(_subst(g, g_free, x, fun), _subst(g, g_free, x, arg))
         case PairLit(left, right):
-            return PairLit(subst(g, x, left), subst(g, x, right))
+            return PairLit(_subst(g, g_free, x, left),
+                           _subst(g, g_free, x, right))
         case Lam(binder, body):
             if binder == x:
                 return f
-            if binder not in free_vars(g) or x not in free_vars(body):
-                return Lam(binder, subst(g, x, body))
+            if binder not in g_free or x not in free_vars(body):
+                return Lam(binder, _subst(g, g_free, x, body))
             z = fresh_var(all_vars(g) | all_vars(body), binder)
-            return Lam(z, subst(g, x, subst(Var(z), binder, body)))
+            renamed = _subst(Var(z), frozenset({z}), binder, body)
+            return Lam(z, _subst(g, g_free, x, renamed))
     raise TypeError(f"not a term: {f!r}")
 
 

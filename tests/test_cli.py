@@ -146,6 +146,22 @@ def test_disagreement_exit_code(tmp_path, capsys, monkeypatch):
     assert "agreement: no" in capsys.readouterr().out
 
 
+def test_stuck_backend_is_disagreement(monkeypatch, capsys):
+    # naive ski leaves a non-integer normal form; the others reach 6
+    monkeypatch.setattr("sys.stdin", io.StringIO("+ [+ [1,2], 3]\n"))
+    assert cli.main(["--backend", "all", "--ski-mode", "naive"]) == \
+        cli.EXIT_DISAGREEMENT
+    out = capsys.readouterr().out
+    assert out.count(": 6 (") == 3
+    assert "agreement: no" in out
+
+
+def test_no_integer_results_is_no_agreement(tmp_path, capsys):
+    path = _write(tmp_path, r"\x. x")
+    assert cli.main([path, "--backend", "all", "--json"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["agreement"] is None
+
+
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_agreement(path, capsys):
     assert cli.main([str(path), "--backend", "all"]) == cli.EXIT_OK
