@@ -280,8 +280,7 @@ _PAIRS = (AppC, Couple, PairV, Comp)
 
 
 def _step(c: CatCode, primitive_only: bool,
-          memo: dict[int, CatCode] | None = None
-          ) -> tuple[CatCode, str] | None:
+          memo: dict[int, CatCode]) -> tuple[CatCode, str] | None:
     """Leftmost-innermost: children left to right, then the node.
 
     ``memo`` maps ``id(node)`` to the node for subtrees already found to
@@ -289,8 +288,6 @@ def _step(c: CatCode, primitive_only: bool,
     added.  Share one memo only across the steps of one evaluation with
     one ``primitive_only``.
     """
-    if memo is None:
-        memo = {}
     kind = type(c)
     if kind is Ap:
         if id(c) in memo:
@@ -329,7 +326,7 @@ def _step(c: CatCode, primitive_only: bool,
 
 def cam_step(c: CatCode) -> CatCode | None:
     """One leftmost-innermost rewrite, or ``None`` at normal form."""
-    hit = _step(c, primitive_only=False)
+    hit = _step(c, False, {})
     return hit[0] if hit is not None else None
 
 

@@ -212,11 +212,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"appliq: evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL
 
-    # Every backend must reach the same integer: one that reached a
-    # different integer, or none while another did, is a disagreement.
+    # Every backend that reached a normal form must reach the same
+    # integer: one that reached a different integer, or a non-integer
+    # while another reached an integer, is a disagreement.  A backend
+    # that ran out of budget is left out and reported by exit 4.
+    done = [v for v, b in zip(values, backends)
+            if b["status"] == Status.NORMAL_FORM.value]
     agreement = None
-    if len(values) >= 2 and any(v is not None for v in values):
-        agreement = all(v == values[0] for v in values)
+    if len(done) >= 2 and any(v is not None for v in done):
+        agreement = all(v == done[0] for v in done)
     report = {"source": print_term(term), "backends": backends,
               "agreement": agreement}
 

@@ -218,25 +218,16 @@ def _applicative(t: Term, use_eta: bool,
     return None
 
 
-def beta_step(t: Term, use_eta: bool = False,
-              memo: dict[int, Term] | None = None) -> Term | None:
+def beta_step(t: Term, use_eta: bool = False) -> Term | None:
     """Contract the leftmost-outermost beta/delta redex, if any; with
     ``use_eta``, an eta redex counts at positions where no beta/delta
-    redex applies.
-
-    ``memo`` maps ``id(node)`` to the node for subtrees already found to
-    hold no redex; they are skipped and every redex-free subtree met is
-    added.  Share one memo only across the steps of one reduction with
-    one ``use_eta``.
-    """
-    return _normal(t, use_eta, {} if memo is None else memo)
+    redex applies."""
+    return _normal(t, use_eta, {})
 
 
-def applicative_step(t: Term, use_eta: bool = False,
-                     memo: dict[int, Term] | None = None) -> Term | None:
-    """Contract the leftmost-innermost beta/delta redex, if any;
-    ``memo`` as for :func:`beta_step`."""
-    return _applicative(t, use_eta, {} if memo is None else memo)
+def applicative_step(t: Term, use_eta: bool = False) -> Term | None:
+    """Contract the leftmost-innermost beta/delta redex, if any."""
+    return _applicative(t, use_eta, {})
 
 
 def reduce(t: Term, cfg: EvalConfig | None = None,

@@ -217,15 +217,9 @@ def _step(t: CombTerm, memo: dict[int, CombTerm]) -> CombTerm | None:
     return None
 
 
-def ski_step(t: CombTerm,
-             memo: dict[int, CombTerm] | None = None) -> CombTerm | None:
-    """Contract the leftmost-outermost I/K/S/delta redex, if any.
-
-    ``memo`` maps ``id(node)`` to the node for subtrees already found to
-    hold no redex; they are skipped and every redex-free subtree met is
-    added.  Share one memo only across the steps of one reduction.
-    """
-    return _step(t, {} if memo is None else memo)
+def ski_step(t: CombTerm) -> CombTerm | None:
+    """Contract the leftmost-outermost I/K/S/delta redex, if any."""
+    return _step(t, {})
 
 
 def ski_reduce(t: CombTerm, max_steps: int = 10000,

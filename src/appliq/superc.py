@@ -231,8 +231,7 @@ def _head_rule(t: App, defs: dict[str, ScDef]) -> Term | None:
     return apps(unfolded, *args[arity:])
 
 
-def _sc_step(t: Term, defs: dict[str, ScDef],
-             memo: dict[int, Term] | None = None,
+def _sc_step(t: Term, defs: dict[str, ScDef], memo: dict[int, Term],
              top: bool = True) -> Term | None:
     """Leftmost-outermost unfold/delta/pair-application step.
 
@@ -243,8 +242,6 @@ def _sc_step(t: Term, defs: dict[str, ScDef],
     an application: a spine-head rule that did not fire at the top of
     the spine cannot fire below it, where there are fewer arguments.
     """
-    if memo is None:
-        memo = {}
     kind = type(t)
     if kind is Var:
         sc = defs.get(t.name)

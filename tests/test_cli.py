@@ -156,6 +156,18 @@ def test_stuck_backend_is_disagreement(monkeypatch, capsys):
     assert "agreement: no" in out
 
 
+def test_budget_exhausted_backend_under_all(tmp_path, capsys):
+    # beta and sc finish in 2 steps; ski and cam need more than 3
+    path = _write(tmp_path, r"(\x. add x x) 3")
+    assert cli.main([path, "--backend", "all", "--max-steps", "3",
+                     "--json"]) == cli.EXIT_EVAL
+    report = json.loads(capsys.readouterr().out)
+    status = {b["name"]: b["status"] for b in report["backends"]}
+    assert status == {"beta": "normal_form", "ski": "budget_exhausted",
+                      "cam": "budget_exhausted", "sc": "normal_form"}
+    assert report["agreement"] is True
+
+
 def test_no_integer_results_is_no_agreement(tmp_path, capsys):
     path = _write(tmp_path, r"\x. x")
     assert cli.main([path, "--backend", "all", "--json"]) == cli.EXIT_OK

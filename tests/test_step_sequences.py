@@ -83,7 +83,7 @@ def _cam_iterate(code, primitive_only: bool) -> list:
     """The (rule, code) sequence of single ``cam._step`` calls."""
     trace = [(None, code)]
     while len(trace) <= BUDGET:
-        hit = cam_rule_step(trace[-1][1], primitive_only)
+        hit = cam_rule_step(trace[-1][1], primitive_only, {})
         if hit is None:
             break
         trace.append((hit[1], hit[0]))
@@ -120,7 +120,7 @@ def _check_all_modes(t: Term) -> None:
     prog = lift(t)
     defs = {d.name: d for d in prog.defs}
     out = sc_reduce(prog, BUDGET, collect_trace=True)
-    assert list(out.trace) == _iterate(lambda s: _sc_step(s, defs),
+    assert list(out.trace) == _iterate(lambda s: _sc_step(s, defs, {}),
                                        prog.main)
 
 
