@@ -102,15 +102,31 @@ def bracket_abstract(x: str, body: CombTerm,
     itself maps to I; applications split through S (unconditionally in
     naive mode); anything the K rule covers becomes ``K body``.
     """
+    if mode is Mode.OPTIMIZED:
+        code = _abstract(x, body)
+        return CApp(K, body) if code is None else code
     if body == CVar(x):
         return I
-    if mode is Mode.OPTIMIZED and not occurs(x, body):
-        return CApp(K, body)
     match body:
         case CApp(fun, arg):
             return CApp(CApp(S, bracket_abstract(x, fun, mode)),
                         bracket_abstract(x, arg, mode))
     return CApp(K, body)
+
+
+def _abstract(x: str, body: CombTerm) -> CombTerm | None:
+    """Optimized-mode abstraction of ``x`` from ``body``, or None where
+    ``x`` does not occur in ``body`` (the caller then uses ``K body``)."""
+    kind = type(body)
+    if kind is CApp:
+        fun, arg = _abstract(x, body.fun), _abstract(x, body.arg)
+        if fun is None and arg is None:
+            return None
+        return CApp(CApp(S, CApp(K, body.fun) if fun is None else fun),
+                    CApp(K, body.arg) if arg is None else arg)
+    if kind is CVar and body.name == x:
+        return I
+    return None
 
 
 def ski_compile(t: Term, mode: Mode = Mode.OPTIMIZED) -> CombTerm:

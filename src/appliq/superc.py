@@ -1,13 +1,15 @@
 """Lambda lifting into supercombinator programs, classification of terms
 against the supercombinator conditions, and program reduction.
 
-Lifting repeatedly extracts the leftmost innermost abstraction group
-(consecutive binders collapse into one definition).  Free variables of
-the extracted group become leading extra parameters, ordered by first
-occurrence, and the occurrence is replaced by the new definition name
-applied to them.  Definition names draw letters from the stream
-X, Y, Z, X1, Y1, Z1, ... — one letter per binder of the group, so a
-two-binder group lifted first is named ``$XY``.
+Lifting is one post-order pass that extracts abstraction groups
+(consecutive binders collapse into one definition) leftmost innermost
+first: a group is lifted as soon as its body is lambda-free, that is,
+right after the groups inside it.  Free variables of the extracted
+group become leading extra parameters, ordered by first occurrence, and
+the group is replaced by the new definition name applied to them.
+Definition names draw letters from the stream X, Y, Z, X1, Y1, Z1, ...
+— one letter per binder of the group, so a two-binder group lifted
+first is named ``$XY``.
 """
 
 from __future__ import annotations
@@ -95,21 +97,9 @@ def _letters() -> Iterator[str]:
         k += 1
 
 
-def _find_innermost_group(t: Term) -> tuple[list[str], Term] | None:
-    """Leftmost innermost maximal binder group, or None if lambda-free."""
-    match t:
-        case Lam():
-            binders, core = _strip_binders(t)
-            inner = _find_innermost_group(core)
-            return inner if inner is not None else (binders, core)
-        case App(fun, arg):
-            return _find_innermost_group(fun) or _find_innermost_group(arg)
-        case PairLit(left, right):
-            return _find_innermost_group(left) or _find_innermost_group(right)
-    return None
-
-
 def _first_occurrences(t: Term, bound: set[str], seen: list[str]) -> None:
+    """Append to ``seen`` the variables of the lambda-free ``t`` outside
+    ``bound`` and not naming definitions, in first-occurrence order."""
     match t:
         case Var(name):
             if name not in bound and not name.startswith("$") \
@@ -118,42 +108,9 @@ def _first_occurrences(t: Term, bound: set[str], seen: list[str]) -> None:
         case App(fun, arg):
             _first_occurrences(fun, bound, seen)
             _first_occurrences(arg, bound, seen)
-        case Lam(binder, body):
-            _first_occurrences(body, bound | {binder}, seen)
         case PairLit(left, right):
             _first_occurrences(left, bound, seen)
             _first_occurrences(right, bound, seen)
-
-
-def _replace_group(t: Term, binders: list[str], core: Term,
-                   replacement: Term) -> Term:
-    """Replace the leftmost occurrence of the lambda group with the
-    replacement term."""
-    group: Term = core
-    for b in reversed(binders):
-        group = Lam(b, group)
-
-    done = False
-
-    def go(t: Term) -> Term:
-        nonlocal done
-        if done:
-            return t
-        if t == group:
-            done = True
-            return replacement
-        match t:
-            case App(fun, arg):
-                fun2 = go(fun)
-                return App(fun2, go(arg))
-            case Lam(binder, body):
-                return Lam(binder, go(body))
-            case PairLit(left, right):
-                left2 = go(left)
-                return PairLit(left2, go(right))
-        return t
-
-    return go(t)
 
 
 def lift(t: Term) -> ScProgram:
@@ -166,18 +123,25 @@ def lift(t: Term) -> ScProgram:
 
     defs: list[ScDef] = []
     letters = _letters()
-    while True:
-        group = _find_innermost_group(t)
-        if group is None:
-            break
-        binders, core = group
+
+    def go(t: Term) -> Term:
+        kind = type(t)
+        if kind is App:
+            return App(go(t.fun), go(t.arg))
+        if kind is PairLit:
+            return PairLit(go(t.left), go(t.right))
+        if kind is not Lam:
+            return t
+        binders, core = _strip_binders(t)
+        core = go(core)
         extras: list[str] = []
         _first_occurrences(core, set(binders), extras)
         name = "$" + "".join(next(letters) for _ in binders)
         defs.append(ScDef(name, tuple(extras) + tuple(binders), core))
-        replacement = apps(Var(name), *(Var(v) for v in extras))
-        t = _replace_group(t, binders, core, replacement)
-    return ScProgram(tuple(defs), t)
+        return apps(Var(name), *(Var(v) for v in extras))
+
+    main = go(t)  # fills defs
+    return ScProgram(tuple(defs), main)
 
 
 @dataclass(frozen=True)

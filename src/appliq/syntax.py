@@ -18,6 +18,7 @@ lifter / program parser.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -233,17 +234,29 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 def desugar_pairs(t: Term) -> Term:
     """Replace every pair literal by ``\\r. r l r'`` with ``r`` fresh."""
-    match t:
-        case Var() | Const():
-            return t
-        case App(fun, arg):
-            return App(desugar_pairs(fun), desugar_pairs(arg))
-        case Lam(binder, body):
-            return Lam(binder, desugar_pairs(body))
-        case PairLit(left, right):
-            left, right = desugar_pairs(left), desugar_pairs(right)
-            r = fresh_var(free_vars(left) | free_vars(right), "r")
-            return Lam(r, App(App(Var(r), left), right))
+    return _desugar(t)[0]
+
+
+def _desugar(t: Term) -> tuple[Term, frozenset[str]]:
+    """:func:`desugar_pairs` of ``t`` together with ``free_vars(t)``,
+    which desugaring leaves unchanged."""
+    kind = type(t)
+    if kind is Var:
+        return t, frozenset((t.name,))
+    if kind is Const:
+        return t, frozenset()
+    if kind is Lam:
+        body, fv = _desugar(t.body)
+        return Lam(t.binder, body), fv - {t.binder}
+    if kind is App:
+        (fun, fv_fun), (arg, fv_arg) = _desugar(t.fun), _desugar(t.arg)
+        return App(fun, arg), fv_fun | fv_arg
+    if kind is PairLit:
+        (left, fv_left), (right, fv_right) = \
+            _desugar(t.left), _desugar(t.right)
+        fv = fv_left | fv_right
+        r = fresh_var(fv, "r")
+        return Lam(r, App(App(Var(r), left), right)), fv
     raise TypeError(f"not a term: {t!r}")
 
 
@@ -282,75 +295,54 @@ _KEYWORD_CONSTS: dict[str, ConstVal] = {
 }
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+# Whitespace and comments match no group and are skipped; every other
+# character starts a token or is caught by ``bad``.  ``\w`` matches what
+# ``str.isalnum()`` accepts plus the underscore; ``[^\W\d_]`` also admits
+# numeric characters that are not letters, which ``_tokenize`` rejects.
+_TOKEN_RE = re.compile(
+    r"[ \t\r\n]+|--[^\n]*"
+    r"|(?P<int>-?\d+)|(?P<scname>\$\w*)|(?P<ident>[^\W\d_]\w*)"
+    r"|(?P<lambda>\\)|(?P<dot>\.)|(?P<lparen>\()|(?P<rparen>\))"
+    r"|(?P<lbrack>\[)|(?P<rbrack>\])|(?P<comma>,)|(?P<plus>\+)"
+    r"|(?P<bad>.)", re.DOTALL)
+
+_Token = tuple[str, str, int]  # kind, text, start offset
+
+
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """A :class:`ParseError` at the line and column of ``offset``."""
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - text.rfind("\n", 0, offset))
+
+
+def _in_int64_range(literal: str) -> bool:
+    try:
+        return INT64_MIN <= int(literal) <= INT64_MAX
+    except ValueError:  # more digits than int() converts from a string
+        return False
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def bump(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = text[i]
-        if c in " \t\r\n":
-            bump()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if c == "-" and i + 1 < n and text[i + 1] == "-":
-            while i < n and text[i] != "\n":
-                bump()
-            continue
-        start_line, start_col = line, col
-        if c in "\\.()[],":
-            kind = {"\\": "lambda", ".": "dot", "(": "lparen", ")": "rparen",
-                    "[": "lbrack", "]": "rbrack", ",": "comma"}[c]
-            toks.append(_Token(kind, c, start_line, start_col))
-            bump()
-            continue
-        if c == "+":
-            toks.append(_Token("plus", c, start_line, start_col))
-            bump()
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            lit = text[i:j]
-            if not (INT64_MIN <= int(lit) <= INT64_MAX):
-                raise ParseError(f"integer literal out of 64-bit range: {lit}",
-                                 start_line, start_col)
-            toks.append(_Token("int", lit, start_line, start_col))
-            bump(j - i)
-            continue
-        if c.isalpha() or c == "$":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            if c == "$" and len(word) == 1:
-                raise ParseError("'$' must start a definition name",
-                                 start_line, start_col)
-            kind = "scname" if c == "$" else \
-                ("keyword" if word in _KEYWORD_CONSTS else "ident")
-            toks.append(_Token(kind, word, start_line, start_col))
-            bump(j - i)
-            continue
-        raise ParseError(f"unexpected character {c!r}", start_line, start_col)
-    toks.append(_Token("eof", "", line, col))
+        word = m.group()
+        if kind == "ident":
+            if word in _KEYWORD_CONSTS:
+                kind = "keyword"
+            elif not word[0].isalpha():  # a numeric character such as '½'
+                kind, word = "bad", word[0]
+        elif kind == "int" and not _in_int64_range(word):
+            raise _error(text, m.start(),
+                         f"integer literal out of 64-bit range: {word}")
+        elif kind == "scname" and len(word) == 1:
+            raise _error(text, m.start(), "'$' must start a definition name")
+        if kind == "bad":
+            raise _error(text, m.start(), f"unexpected character {word!r}")
+        toks.append((kind, word, m.start()))
+    toks.append(("eof", "", len(text)))
     return toks
 
 
@@ -362,8 +354,9 @@ _ATOM_STARTS = {"ident", "scname", "keyword", "int", "plus", "lbrack",
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self) -> _Token:
@@ -374,45 +367,49 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def error(self, message: str, tok: _Token) -> ParseError:
+        return _error(self.text, tok[2], message)
+
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
+        if tok[0] != kind:
+            raise self.error(
+                f"expected {what}, found {tok[1] or 'end of input'!r}", tok)
         return self.next()
 
     def term(self) -> Term:
-        if self.peek().kind == "lambda":
+        if self.peek()[0] == "lambda":
             return self.lam()
         return self.app()
 
     def lam(self) -> Term:
         self.expect("lambda", "'\\'")
-        binders = [self.expect("ident", "binder").text]
-        while self.peek().kind == "ident":
-            binders.append(self.next().text)
+        binders = [self.expect("ident", "binder")[1]]
+        while self.peek()[0] == "ident":
+            binders.append(self.next()[1])
         self.expect("dot", "'.'")
         return lams(binders, self.term())
 
     def app(self) -> Term:
         tok = self.peek()
-        if tok.kind not in _ATOM_STARTS:
-            raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
+        if tok[0] not in _ATOM_STARTS:
+            raise self.error(
+                f"expected a term, found {tok[1] or 'end of input'!r}", tok)
         t = self.atom()
-        while self.peek().kind in _ATOM_STARTS:
+        while self.peek()[0] in _ATOM_STARTS:
             t = App(t, self.atom())
         return t
 
     def atom(self) -> Term:
         tok = self.next()
-        match tok.kind:
+        kind, text, _ = tok
+        match kind:
             case "ident" | "scname":
-                return Var(tok.text)
+                return Var(text)
             case "keyword":
-                return Const(_KEYWORD_CONSTS[tok.text])
+                return Const(_KEYWORD_CONSTS[text])
             case "int":
-                return Const(IntLit(int(tok.text)))
+                return Const(IntLit(int(text)))
             case "plus":
                 return Const(AddPair())
             case "lbrack":
@@ -425,7 +422,7 @@ class _Parser:
                 t = self.term()
                 self.expect("rparen", "')'")
                 return t
-        raise ParseError(f"unexpected {tok.text!r}", tok.line, tok.col)
+        raise self.error(f"unexpected {text!r}", tok)
 
 
 def parse(text: str) -> Term:
@@ -435,12 +432,11 @@ def parse(text: str) -> Term:
     right as possible.  Raises :class:`ParseError` with line/column on
     malformed input.
     """
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     t = parser.term()
     tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input starting at {tok.text!r}",
-                         tok.line, tok.col)
+    if tok[0] != "eof":
+        raise parser.error(f"trailing input starting at {tok[1]!r}", tok)
     return t
 
 

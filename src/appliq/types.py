@@ -91,39 +91,50 @@ def apply_subst(s: dict[int, Type], t: Type) -> Type:
     return t
 
 
+def _root(s: dict[int, Type], t: Type) -> Type:
+    """``t`` with bindings followed at the top only."""
+    while type(t) is TVar and t.tid in s:
+        t = s[t.tid]
+    return t
+
+
 def _occurs(tid: int, t: Type, s: dict[int, Type]) -> bool:
-    match apply_subst(s, t):
-        case TVar(other):
-            return other == tid
-        case Arrow(dom, cod):
-            return _occurs(tid, dom, s) or _occurs(tid, cod, s)
-    return False
+    t = _root(s, t)
+    if type(t) is TVar:
+        return t.tid == tid
+    return type(t) is Arrow and (_occurs(tid, t.dom, s) or
+                                 _occurs(tid, t.cod, s))
 
 
 def unify(t1: Type, t2: Type, s: dict[int, Type] | None = None) -> dict[int, Type]:
     """Most general unifier extending ``s``; raises on mismatch or a
-    circular binding."""
+    circular binding.  ``s`` itself is left unchanged."""
     s = dict(s) if s is not None else {}
-    t1, t2 = apply_subst(s, t1), apply_subst(s, t2)
-    match t1, t2:
-        case TVar(a), TVar(b) if a == b:
-            return s
-        case TVar(a), _:
-            if _occurs(a, t2, s):
-                raise OccursCheckError(a, t2)
-            s[a] = t2
-            return s
-        case _, TVar(b):
-            if _occurs(b, t1, s):
-                raise OccursCheckError(b, t1)
-            s[b] = t1
-            return s
-        case Base(n1), Base(n2) if n1 == n2:
-            return s
-        case Arrow(d1, c1), Arrow(d2, c2):
-            s = unify(d1, d2, s)
-            return unify(c1, c2, s)
-    raise UnificationMismatch(t1, t2)
+    _unify(t1, t2, s)
+    return s
+
+
+def _unify(t1: Type, t2: Type, s: dict[int, Type]) -> None:
+    """:func:`unify` extending ``s`` in place.  Bound types are stored as
+    found, so bindings are followed again wherever they are read; errors
+    carry fully applied types."""
+    t1, t2 = _root(s, t1), _root(s, t2)
+    k1, k2 = type(t1), type(t2)
+    if k1 is TVar:
+        if k2 is TVar and t1.tid == t2.tid:
+            return
+        if _occurs(t1.tid, t2, s):
+            raise OccursCheckError(t1.tid, apply_subst(s, t2))
+        s[t1.tid] = t2
+    elif k2 is TVar:
+        if _occurs(t2.tid, t1, s):
+            raise OccursCheckError(t2.tid, apply_subst(s, t1))
+        s[t2.tid] = t1
+    elif k1 is Arrow and k2 is Arrow:
+        _unify(t1.dom, t2.dom, s)
+        _unify(t1.cod, t2.cod, s)
+    elif not (k1 is Base and t1 == t2):
+        raise UnificationMismatch(apply_subst(s, t1), apply_subst(s, t2))
 
 
 def _const_type(c: ConstVal, fresh) -> Type:
@@ -186,7 +197,6 @@ def infer_with_annotations(t: Term,
     binder_types: dict[str, Type] = {}
 
     def go(t: Term, ctx: dict[str, Type]) -> Type:
-        nonlocal subst
         match t:
             case Var(name):
                 if name not in ctx:
@@ -198,7 +208,7 @@ def infer_with_annotations(t: Term,
                 tf = go(fun, ctx)
                 ta = go(arg, ctx)
                 res = fresh()
-                subst = unify(tf, Arrow(ta, res), subst)
+                _unify(tf, Arrow(ta, res), subst)
                 return res
             case Lam(binder, body):
                 dom = fresh()

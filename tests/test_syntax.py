@@ -82,6 +82,38 @@ def test_parse_error_location():
         pytest.fail("no error raised")
 
 
+@pytest.mark.parametrize("src, line, col, message", [
+    ("-- a comment\n  @ x", 2, 3, "unexpected character '@'"),
+    ("x\r\n\t(y\r\n  ]", 3, 3, "expected ')', found ']'"),
+    ("\t\tf @", 1, 5, "unexpected character '@'"),
+    ("f\n  1 99999999999999999999", 2, 5,
+     "integer literal out of 64-bit range: 99999999999999999999"),
+    ("x\n $ y", 2, 2, "'$' must start a definition name"),
+    ("\\x. x ?", 1, 7, "unexpected character '?'"),
+    ("(x) )", 1, 5, "trailing input starting at ')'"),
+    ("\\x.", 1, 4, "expected a term, found 'end of input'"),
+    ("(f\n  x", 2, 4, "expected ')', found 'end of input'"),
+    ("--only a comment\n", 2, 1, "expected a term, found 'end of input'"),
+], ids=["after_comment", "crlf", "tabs", "out_of_range", "lone_dollar",
+        "unexpected_char", "trailing", "end_of_input", "eof_next_line",
+        "comment_only"])
+def test_parse_error_line_and_column(src, line, col, message):
+    """Columns count characters (a tab or a carriage return is one) and
+    a newline starts the next line at column 1."""
+    with pytest.raises(ParseError) as info:
+        parse(src)
+    assert (info.value.line, info.value.col) == (line, col)
+    assert str(info.value) == f"line {line}, col {col}: {message}"
+
+
+def test_parse_error_for_literal_longer_than_int_converts():
+    digits = "7" * 5000
+    with pytest.raises(ParseError) as info:
+        parse(f"add 1 {digits}")
+    assert (info.value.line, info.value.col) == (1, 7)
+    assert str(info.value).endswith(f"out of 64-bit range: {digits}")
+
+
 # ---------------------------------------------------------------------------
 # printing
 

@@ -127,6 +127,18 @@ def test_unify_composition_equation_set():
     assert types_equal(solved, apply_subst(s, want))
 
 
+def test_unify_leaves_the_given_substitution_unchanged():
+    s = {0: Arrow(b, c)}
+    before = dict(s)
+    out = unify(Arrow(a, b), Arrow(Arrow(NAT, c), NAT), s)
+    assert s == before
+    assert out is not s
+    assert apply_subst(out, Arrow(a, b)) == Arrow(Arrow(NAT, c), NAT)
+    with pytest.raises(UnificationMismatch):  # after binding b := N
+        unify(Arrow(b, b), Arrow(NAT, Arrow(NAT, NAT)), s)
+    assert s == before
+
+
 def test_unify_idempotent():
     s = unify(Arrow(a, b), Arrow(NAT, Arrow(c, c)))
     out = apply_subst(s, Arrow(a, b))
