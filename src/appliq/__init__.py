@@ -9,7 +9,6 @@ rounds the toolkit out.
 """
 
 from .cam import (
-    CamOutcome,
     CatCode,
     cam_compile,
     cam_eval_closure,
@@ -20,7 +19,7 @@ from .cam import (
 from .debruijn import DTerm, decode, encode, print_dterm
 from .reduction import (
     EvalConfig,
-    ReduceOutcome,
+    Outcome,
     Status,
     Strategy,
     beta_step,
@@ -31,7 +30,6 @@ from .reduction import (
 from .ski import (
     CombTerm,
     Mode,
-    SkiOutcome,
     bracket_abstract,
     print_comb,
     ski_compile,
@@ -41,7 +39,6 @@ from .ski import (
 from .superc import (
     Classification,
     ScDef,
-    ScOutcome,
     ScProgram,
     classify,
     lift,

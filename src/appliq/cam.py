@@ -17,7 +17,6 @@ leftmost-innermost strategy using
     (ac)     eps [L(x) y, z] ->  x [y,z]
     (pair)   [x,y] z         ->  z x y    (pairing combinator applied)
     (eps)    eps [f, z]      ->  f z      (f not a L(.)-closure)
-    (id)     Id x            ->  x
     (delta)  arithmetic on integer values
 
 Environments are pair-value spines terminating in (); quoted
@@ -27,13 +26,11 @@ they survive being stored in an environment and applied later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .debruijn import DApp, DConst, DLam, DPair, DTerm, Index
-from .reduction import Status
+from .reduction import Outcome, arith, run
 from .syntax import (
-    INT64_MAX,
-    INT64_MIN,
     AddCurried,
     AddPair,
     ConstVal,
@@ -114,11 +111,6 @@ class UnitV(CatCode):
 
 
 @dataclass(frozen=True)
-class IdC(CatCode):
-    """Identity; representable but never emitted by the compiler."""
-
-
-@dataclass(frozen=True)
 class KConst(CatCode):
     value: ConstVal
 
@@ -132,15 +124,6 @@ UNIT = UnitV()
 EPS = Eps()
 FST = FstC()
 SND = SndC()
-
-
-@dataclass(frozen=True)
-class CamOutcome:
-    result: CatCode
-    steps_used: int
-    status: Status
-    trace: tuple[tuple[str | None, CatCode], ...] | None = \
-        field(default=None, compare=False)
 
 
 def cam_compile(d: DTerm) -> CatCode:
@@ -208,12 +191,6 @@ def expand_abbreviations(c: CatCode) -> CatCode:
     return _map_children(c, expand_abbreviations)
 
 
-def _checked(n: int, what: str) -> CatCode:
-    if not (INT64_MIN <= n <= INT64_MAX):
-        raise OverflowError(f"integer overflow in {what}: {n}")
-    return IntV(n)
-
-
 def _rule(c: Ap, primitive_only: bool) -> tuple[CatCode, str] | None:
     """The rewrite rule for the juxtaposition ``c``, if any; every rule
     has one at its root.  Rules are picked by the type of the applied
@@ -232,11 +209,9 @@ def _rule(c: Ap, primitive_only: bool) -> tuple[CatCode, str] | None:
         if head is LamC and not primitive_only:
             return Ap(f.fun.body, PairV(f.arg, z)), "lam"
         if head is KConst and type(f.arg) is IntV and type(z) is IntV:
-            op = type(f.fun.value)
-            if op is AddCurried:
-                return _checked(f.arg.n + z.n, "add"), "delta"
-            if op is SubCurried:
-                return _checked(f.arg.n - z.n, "sub"), "delta"
+            op = f.fun.value
+            if type(op) is AddCurried or type(op) is SubCurried:
+                return IntV(arith(const_name(op), f.arg.n, z.n)), "delta"
         return None
     if kind is AppC:
         if primitive_only:
@@ -252,7 +227,7 @@ def _rule(c: Ap, primitive_only: bool) -> tuple[CatCode, str] | None:
             return body.left, "quote"
         return None
     if type(z) is not PairV:
-        return (z, "id") if kind is IdC else None
+        return None
     if kind is Eps:
         x = z.left
         if type(x) is Ap and type(x.fun) is LamC:
@@ -270,9 +245,7 @@ def _rule(c: Ap, primitive_only: bool) -> tuple[CatCode, str] | None:
         return None
     if kind is KConst and type(f.value) is AddPair and \
             type(z.left) is IntV and type(z.right) is IntV:
-        return _checked(z.left.n + z.right.n, "+"), "delta"
-    if kind is IdC:
-        return z, "id"
+        return IntV(arith("+", z.left.n, z.right.n)), "delta"
     return None
 
 
@@ -332,30 +305,27 @@ def cam_step(c: CatCode) -> CatCode | None:
 
 def cam_eval_closure(compiled: CatCode, max_steps: int = 10000,
                      collect_trace: bool = False,
-                     primitive_only: bool = False) -> CamOutcome:
+                     primitive_only: bool = False) -> Outcome:
     """Apply compiled code to the empty environment and rewrite to a
     value.  With ``primitive_only`` the abbreviation rules (app, bang,
     lam, quote-on-nodes) are disabled; the caller is expected to pass
-    code through :func:`expand_abbreviations` first.  The memo of
-    redex-free subtrees lives for this call only."""
+    code through :func:`expand_abbreviations` first.  The trace pairs
+    each state with the rule that produced it (None for the first)."""
     if not primitive_only:
         compiled = unfold_constant_quotes(compiled)
-    term: CatCode = Ap(compiled, UNIT)
-    trace: list[tuple[str | None, CatCode]] | None = \
-        [(None, term)] if collect_trace else None
-    memo: dict[int, CatCode] = {}
-    steps = 0
-    while steps < max_steps:
-        hit = _step(term, primitive_only, memo)
+    rules: list[str | None] = [None]
+
+    def step(c: CatCode, memo: dict[int, CatCode]) -> CatCode | None:
+        hit = _step(c, primitive_only, memo)
         if hit is None:
-            return CamOutcome(term, steps, Status.NORMAL_FORM,
-                              tuple(trace) if trace is not None else None)
-        term, rule = hit
-        steps += 1
-        if trace is not None:
-            trace.append((rule, term))
-    return CamOutcome(term, steps, Status.BUDGET_EXHAUSTED,
-                      tuple(trace) if trace is not None else None)
+            return None
+        rules.append(hit[1])
+        return hit[0]
+
+    out = run(step, Ap(compiled, UNIT), max_steps, collect_trace)
+    if out.trace is None:
+        return out
+    return replace(out, trace=tuple(zip(rules, out.trace)))
 
 
 def print_cat(c: CatCode, expand_quotes: bool = False) -> str:
@@ -398,8 +368,6 @@ def print_cat(c: CatCode, expand_quotes: bool = False) -> str:
                 return "eps"
             case UnitV():
                 return "()"
-            case IdC():
-                return "Id"
             case KConst(v):
                 return const_name(v)
             case IntV(n):

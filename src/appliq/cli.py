@@ -31,7 +31,36 @@ EXIT_TYPE = 3
 EXIT_EVAL = 4
 EXIT_DISAGREEMENT = 5
 
-BACKENDS = ("beta", "ski", "cam", "sc")
+# Compile, reduce, print code, print result and trace lines per backend.
+# Every entry looks its functions up when it is called, so a module
+# attribute replaced at run time (as the benchmark's probes do) is used.
+_BACKENDS = {
+    "beta": (lambda term, mode: term,
+             lambda term, n, trace: reduce(term, EvalConfig(max_steps=n),
+                                           collect_trace=trace),
+             lambda term: print_term(term),
+             lambda result: print_term(resugar_pairs(result)),
+             lambda states: trace_lines(states)),
+    "ski": (lambda term, mode: ski.ski_compile(term, mode),
+            lambda code, n, trace: ski.ski_reduce(code, n,
+                                                  collect_trace=trace),
+            lambda code: ski.print_comb(code),
+            lambda result: ski.print_comb(result),
+            lambda states: ski.ski_trace_lines(states)),
+    "cam": (lambda term, mode: cam.cam_compile(debruijn.encode(term)),
+            lambda code, n, trace: cam.cam_eval_closure(code, n,
+                                                        collect_trace=trace),
+            lambda code: cam.print_cat(code, expand_quotes=True),
+            lambda result: cam.print_cat(result),
+            lambda states: cam.cam_trace_lines(states)),
+    "sc": (lambda term, mode: superc.lift(term),
+           lambda prog, n, trace: superc.sc_reduce(prog, n,
+                                                   collect_trace=trace),
+           lambda prog: superc.print_program(prog),
+           lambda result: print_term(resugar_pairs(result)),
+           lambda states: superc.sc_trace_lines(states)),
+}
+BACKENDS = tuple(_BACKENDS)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -63,75 +92,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _result_int(backend: str, result) -> int | None:
-    match backend, result:
-        case ("beta" | "sc"), Const(IntLit(n)):
-            return n
-        case "ski", ski.CConst(IntLit(n)):
-            return n
-        case "cam", cam.IntV(n):
+_PARSER = _build_parser()
+
+
+def _result_int(result) -> int | None:
+    match result:
+        case Const(IntLit(n)) | ski.CConst(IntLit(n)) | cam.IntV(n):
             return n
     return None
 
 
 def _run_backend(name: str, term: Term, ski_mode: ski.Mode, max_steps: int,
                  want_trace: bool) -> tuple[dict, int | None, list[str]]:
-    lines: list[str] = []
-    if name == "beta":
-        out = reduce(term, EvalConfig(max_steps=max_steps),
-                     collect_trace=want_trace)
-        compiled = print_term(term)
-        result = print_term(resugar_pairs(out.result))
-        if want_trace:
-            lines = trace_lines(out.trace)
-        value = _result_int(name, out.result)
-    elif name == "ski":
-        code = ski.ski_compile(term, ski_mode)
-        out = ski.ski_reduce(code, max_steps, collect_trace=want_trace)
-        compiled = ski.print_comb(code)
-        result = ski.print_comb(out.result)
-        if want_trace:
-            lines = ski.ski_trace_lines(out.trace)
-        value = _result_int(name, out.result)
-    elif name == "cam":
-        code = cam.cam_compile(debruijn.encode(term))
-        out = cam.cam_eval_closure(code, max_steps, collect_trace=want_trace)
-        compiled = cam.print_cat(code, expand_quotes=True)
-        result = cam.print_cat(out.result)
-        if want_trace:
-            lines = cam.cam_trace_lines(out.trace)
-        value = _result_int(name, out.result)
-    elif name == "sc":
-        prog = superc.lift(term)
-        out = superc.sc_reduce(prog, max_steps, collect_trace=want_trace)
-        compiled = superc.print_program(prog)
-        result = print_term(resugar_pairs(out.result))
-        if want_trace:
-            lines = superc.sc_trace_lines(out.trace)
-        value = _result_int(name, out.result)
-    else:
-        raise ValueError(f"unknown backend: {name}")
+    compile_, reduce_, print_code, print_result, trace_of = _BACKENDS[name]
+    code = compile_(term, ski_mode)
+    out = reduce_(code, max_steps, want_trace)
     report = {
         "name": name,
-        "compiled": compiled,
-        "result": result,
+        "compiled": print_code(code),
+        "result": print_result(out.result),
         "steps": out.steps_used,
         "status": out.status.value,
     }
-    return report, value, lines
+    lines = trace_of(out.trace) if want_trace else []
+    return report, _result_int(out.result), lines
 
 
 def compiled_form(name: str, term: Term, ski_mode: ski.Mode) -> str:
-    if name == "beta":
-        return print_term(term)
-    if name == "ski":
-        return ski.print_comb(ski.ski_compile(term, ski_mode))
-    if name == "cam":
-        return cam.print_cat(cam.cam_compile(debruijn.encode(term)),
-                             expand_quotes=True)
-    if name == "sc":
-        return superc.print_program(superc.lift(term))
-    raise ValueError(f"unknown backend: {name}")
+    compile_, _, print_code, _, _ = _BACKENDS[name]
+    return print_code(compile_(term, ski_mode))
 
 
 def render_text(report: dict) -> str:
@@ -147,7 +136,7 @@ def render_text(report: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     # pathological terms reduce to deeply nested trees
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     if args.max_steps < 1:
         print("appliq: error: --max-steps must be >= 1", file=sys.stderr)
@@ -176,14 +165,14 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         term = parse(source)
-    except ParseError as exc:
+    except (ParseError, RecursionError) as exc:
         print(f"appliq: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
     if args.show_type:
         try:
             print(types.type_to_str(types.infer(term)))
-        except types.TypeInferenceError as exc:
+        except (types.TypeInferenceError, RecursionError) as exc:
             print(f"appliq: type error: {exc}", file=sys.stderr)
             return EXIT_TYPE
         return EXIT_OK
@@ -208,7 +197,8 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"-- {name} --")
                 for line in lines:
                     print(line)
-    except (FreeVariableError, OverflowError) as exc:
+        printed = print_term(term)
+    except (FreeVariableError, OverflowError, RecursionError) as exc:
         print(f"appliq: evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL
 
@@ -221,8 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     agreement = None
     if len(done) >= 2 and any(v is not None for v in done):
         agreement = all(v == done[0] for v in done)
-    report = {"source": print_term(term), "backends": backends,
-              "agreement": agreement}
+    report = {"source": printed, "backends": backends, "agreement": agreement}
 
     if args.as_json:
         print(json.dumps(report, indent=2))

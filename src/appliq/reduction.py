@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .syntax import (
     INT64_MAX,
@@ -21,6 +22,7 @@ from .syntax import (
     SubCurried,
     Term,
     Var,
+    const_name,
     desugar_pairs,
     free_vars,
     print_term,
@@ -51,17 +53,44 @@ class EvalConfig:
 
 
 @dataclass(frozen=True)
-class ReduceOutcome:
-    result: Term
+class Outcome:
+    """What a reducer ended in: the last state, the steps taken, and the
+    states visited when a trace was asked for."""
+    result: Any
     steps_used: int
     status: Status
-    trace: tuple[Term, ...] | None = field(default=None, compare=False)
+    trace: tuple | None = field(default=None, compare=False)
 
 
-def _checked(n: int, what: str) -> Term:
-    if not (INT64_MIN <= n <= INT64_MAX):
-        raise OverflowError(f"integer overflow in {what}: {n}")
-    return Const(IntLit(n))
+def run(step: Callable[[Any, dict[int, Any]], Any | None], t: Any,
+        max_steps: int, collect_trace: bool = False) -> Outcome:
+    """Apply ``step(state, memo)`` until it returns None or ``max_steps``
+    steps are taken.  ``memo`` maps ``id(node)`` to the node for subtrees
+    found to hold no redex; it lives for this call only.  When the
+    budget runs out, one more probe tells a normal form reached by the
+    last step from an exhausted budget."""
+    memo: dict[int, Any] = {}
+    trace = [t] if collect_trace else None
+    steps, status = 0, Status.NORMAL_FORM
+    while (nxt := step(t, memo)) is not None:
+        if steps == max_steps:
+            status = Status.BUDGET_EXHAUSTED
+            break
+        t = nxt
+        steps += 1
+        if trace is not None:
+            trace.append(t)
+    return Outcome(t, steps, status,
+                   tuple(trace) if trace is not None else None)
+
+
+def arith(op: str, m: int, n: int) -> int:
+    """``m - n`` for ``sub``, ``m + n`` for ``+`` and ``add``; a result
+    outside 64-bit range raises ``OverflowError``."""
+    r = m - n if op == "sub" else m + n
+    if not (INT64_MIN <= r <= INT64_MAX):
+        raise OverflowError(f"integer overflow in {op}: {r}")
+    return r
 
 
 def _int(t: Term) -> int | None:
@@ -99,7 +128,7 @@ def delta_step(t: Term) -> Term | None:
         if op is AddPair:
             pair = _as_literal_pair(t.arg)
             if pair is not None:
-                return _checked(pair[0] + pair[1], "+")
+                return Const(IntLit(arith("+", *pair)))
         elif op is FixConst:
             return App(t.arg, t)
         return None
@@ -108,8 +137,7 @@ def delta_step(t: Term) -> Term | None:
         if op is AddCurried or op is SubCurried:
             m, n = _int(fun.arg), _int(t.arg)
             if m is not None and n is not None:
-                return _checked(m + n, "add") if op is AddCurried \
-                    else _checked(m - n, "sub")
+                return Const(IntLit(arith(const_name(fun.fun.value), m, n)))
     return None
 
 
@@ -231,28 +259,15 @@ def applicative_step(t: Term, use_eta: bool = False) -> Term | None:
 
 
 def reduce(t: Term, cfg: EvalConfig | None = None,
-           collect_trace: bool = False) -> ReduceOutcome:
+           collect_trace: bool = False) -> Outcome:
     """Iterate single steps under the configured strategy until no redex
     remains or the budget runs out.  Pair literals are desugared up
-    front.  The memo of redex-free subtrees lives for this call only."""
+    front."""
     cfg = cfg or EvalConfig()
     step = _normal if cfg.strategy is Strategy.NORMAL_ORDER \
         else _applicative
-    t = desugar_pairs(t)
-    trace = [t] if collect_trace else None
-    memo: dict[int, Term] = {}
-    steps = 0
-    while steps < cfg.max_steps:
-        nxt = step(t, cfg.use_eta, memo)
-        if nxt is None:
-            return ReduceOutcome(t, steps, Status.NORMAL_FORM,
-                                 tuple(trace) if trace is not None else None)
-        t = nxt
-        steps += 1
-        if trace is not None:
-            trace.append(t)
-    return ReduceOutcome(t, steps, Status.BUDGET_EXHAUSTED,
-                         tuple(trace) if trace is not None else None)
+    return run(lambda t, memo: step(t, cfg.use_eta, memo), desugar_pairs(t),
+               cfg.max_steps, collect_trace)
 
 
 def trace_lines(terms: tuple[Term, ...]) -> list[str]:

@@ -11,12 +11,10 @@ free in the body, which yields smaller code.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .reduction import Status
+from .reduction import Outcome, arith, run
 from .syntax import (
-    INT64_MAX,
-    INT64_MIN,
     AddCurried,
     AddPair,
     App,
@@ -148,20 +146,6 @@ def ski_compile(t: Term, mode: Mode = Mode.OPTIMIZED) -> CombTerm:
     return go(desugar_pairs(t))
 
 
-@dataclass(frozen=True)
-class SkiOutcome:
-    result: CombTerm
-    steps_used: int
-    status: Status
-    trace: tuple[CombTerm, ...] | None = field(default=None, compare=False)
-
-
-def _checked(n: int, what: str) -> CombTerm:
-    if not (INT64_MIN <= n <= INT64_MAX):
-        raise OverflowError(f"integer overflow in {what}: {n}")
-    return CConst(IntLit(n))
-
-
 def _as_literal_pair(t: CombTerm) -> tuple[int, int] | None:
     """Pair values surface here as compiled ``\\r. r m n``:
     ``S (S I (K m)) (K n)`` from the optimized compiler or
@@ -194,7 +178,7 @@ def _rule(t: CApp) -> CombTerm | None:
         if op is AddPair:
             pair = _as_literal_pair(arg)
             if pair is not None:
-                return _checked(pair[0] + pair[1], "+")
+                return CConst(IntLit(arith("+", *pair)))
         elif op is FixConst:
             return CApp(arg, t)
         return None
@@ -209,8 +193,7 @@ def _rule(t: CApp) -> CombTerm | None:
         if op is AddCurried or op is SubCurried:
             m, n = _int(fun.arg), _int(arg)
             if m is not None and n is not None:
-                return _checked(m + n, "add") if op is AddCurried \
-                    else _checked(m - n, "sub")
+                return CConst(IntLit(arith(const_name(head.value), m, n)))
         return None
     if kind is CApp and type(head.fun) is CS:
         return CApp(CApp(head.arg, arg), CApp(fun.arg, arg))
@@ -239,21 +222,8 @@ def ski_step(t: CombTerm) -> CombTerm | None:
 
 
 def ski_reduce(t: CombTerm, max_steps: int = 10000,
-               collect_trace: bool = False) -> SkiOutcome:
-    trace = [t] if collect_trace else None
-    memo: dict[int, CombTerm] = {}
-    steps = 0
-    while steps < max_steps:
-        nxt = _step(t, memo)
-        if nxt is None:
-            return SkiOutcome(t, steps, Status.NORMAL_FORM,
-                              tuple(trace) if trace is not None else None)
-        t = nxt
-        steps += 1
-        if trace is not None:
-            trace.append(t)
-    return SkiOutcome(t, steps, Status.BUDGET_EXHAUSTED,
-                      tuple(trace) if trace is not None else None)
+               collect_trace: bool = False) -> Outcome:
+    return run(_step, t, max_steps, collect_trace)
 
 
 def comb_size(t: CombTerm) -> int:

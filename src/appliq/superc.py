@@ -15,10 +15,10 @@ first is named ``$XY``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
-from .reduction import Status, delta_step
+from .reduction import Outcome, delta_step, run
 from .syntax import (
     App,
     Const,
@@ -144,14 +144,6 @@ def lift(t: Term) -> ScProgram:
     return ScProgram(tuple(defs), main)
 
 
-@dataclass(frozen=True)
-class ScOutcome:
-    result: Term
-    steps_used: int
-    status: Status
-    trace: tuple[Term, ...] | None = field(default=None, compare=False)
-
-
 def _substitute_params(body: Term, bindings: dict[str, Term]) -> Term:
     # bodies are lambda-free, so plain simultaneous replacement is safe
     match body:
@@ -240,26 +232,12 @@ def _sc_step(t: Term, defs: dict[str, ScDef], memo: dict[int, Term],
 
 
 def sc_reduce(p: ScProgram, max_steps: int = 10000,
-              collect_trace: bool = False) -> ScOutcome:
+              collect_trace: bool = False) -> Outcome:
     """Normal-order reduction of the main expression, unfolding a
-    definition whenever it is applied to at least its arity.  The memo
-    of redex-free subtrees lives for this call only."""
+    definition whenever it is applied to at least its arity."""
     defs = {d.name: d for d in p.defs}
-    t = p.main
-    trace = [t] if collect_trace else None
-    memo: dict[int, Term] = {}
-    steps = 0
-    while steps < max_steps:
-        nxt = _sc_step(t, defs, memo)
-        if nxt is None:
-            return ScOutcome(t, steps, Status.NORMAL_FORM,
-                             tuple(trace) if trace is not None else None)
-        t = nxt
-        steps += 1
-        if trace is not None:
-            trace.append(t)
-    return ScOutcome(t, steps, Status.BUDGET_EXHAUSTED,
-                     tuple(trace) if trace is not None else None)
+    return run(lambda t, memo: _sc_step(t, defs, memo), p.main, max_steps,
+               collect_trace)
 
 
 def print_program(p: ScProgram) -> str:

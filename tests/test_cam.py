@@ -11,7 +11,6 @@ from appliq.cam import (
     Bang,
     Comp,
     Couple,
-    IdC,
     IntV,
     KConst,
     LamC,
@@ -94,10 +93,6 @@ def test_step_is_innermost():
     inner = Ap(QuoteC(IntV(1)), UNIT)
     outer = Ap(SND, PairV(inner, IntV(2)))
     assert cam_step(outer) == Ap(SND, PairV(IntV(1), IntV(2)))
-
-
-def test_step_id_extension():
-    assert cam_step(Ap(IdC(), IntV(5))) == IntV(5)
 
 
 # ---------------------------------------------------------------------------

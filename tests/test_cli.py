@@ -178,3 +178,71 @@ def test_no_integer_results_is_no_agreement(tmp_path, capsys):
 def test_corpus_agreement(path, capsys):
     assert cli.main([str(path), "--backend", "all"]) == cli.EXIT_OK
     assert "agreement: yes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend, steps", [
+    ("beta", 2), ("ski", 6), ("cam", 12), ("sc", 2)])
+def test_budget_boundary(backend, steps, monkeypatch, capsys):
+    # the last step allowed may be the one that reaches normal form
+    for budget, status, code in ((steps, "normal_form", cli.EXIT_OK),
+                                 (steps - 1, "budget_exhausted",
+                                  cli.EXIT_EVAL)):
+        monkeypatch.setattr("sys.stdin", io.StringIO(r"(\x. add x x) 3"))
+        assert cli.main(["--backend", backend, "--max-steps", str(budget),
+                         "--json"]) == code
+        [report] = json.loads(capsys.readouterr().out)["backends"]
+        assert (report["steps"], report["status"]) == (budget, status)
+
+
+def test_deep_nesting_is_parse_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin",
+                        io.StringIO("(" * 90000 + "1" + ")" * 90000))
+    assert cli.main([]) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("appliq: parse error: ")
+    assert "Traceback" not in err
+
+
+def test_deep_term_is_evaluation_error(monkeypatch, capsys):
+    # an application spine is parsed by a loop but walked recursively
+    monkeypatch.setattr("sys.stdin", io.StringIO(r"(\x. x)" + " 0" * 110000))
+    assert cli.main([]) == cli.EXIT_EVAL
+    err = capsys.readouterr().err
+    assert err.startswith("appliq: evaluation error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("backend", cli.BACKENDS)
+@pytest.mark.parametrize("source, message", [
+    ("add 9223372036854775807 1", "add: 9223372036854775808"),
+    ("+ [9223372036854775807, 1]", "+: 9223372036854775808"),
+    ("sub -9223372036854775808 1", "sub: -9223372036854775809"),
+])
+def test_overflow_on_every_backend(backend, source, message, monkeypatch,
+                                   capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    assert cli.main(["--backend", backend]) == cli.EXIT_EVAL
+    assert capsys.readouterr().err == \
+        f"appliq: evaluation error: integer overflow in {message}\n"
+
+
+def test_entry_points_are_looked_up_when_called(tmp_path, monkeypatch,
+                                                capsys):
+    # the benchmark's probes replace these attributes to time each layer
+    from appliq import cam, ski, superc
+    calls = {}
+    for mod, attr in ((cli, "reduce"), (ski, "ski_compile"),
+                      (ski, "ski_reduce"), (cam, "cam_compile"),
+                      (cam, "cam_eval_closure"), (superc, "lift"),
+                      (superc, "sc_reduce"), (superc, "print_program")):
+        def counted(*args, _fn=getattr(mod, attr), _key=attr, **kwargs):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(mod, attr, counted)
+    path = _write(tmp_path, F_SOURCE)
+    assert cli.main([path, "--backend", "all"]) == cli.EXIT_OK
+    assert cli.main([path, "--emit", "sc"]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert set(calls) == {"reduce", "ski_compile", "ski_reduce",
+                          "cam_compile", "cam_eval_closure", "lift",
+                          "sc_reduce", "print_program"}
