@@ -97,7 +97,7 @@ _PARSER = _build_parser()
 
 def _result_int(result) -> int | None:
     match result:
-        case Const(IntLit(n)) | ski.CConst(IntLit(n)) | cam.IntV(n):
+        case Const(IntLit(n)) | cam.IntV(n):
             return n
     return None
 

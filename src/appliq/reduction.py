@@ -14,6 +14,7 @@ from .syntax import (
     AddCurried,
     AddPair,
     App,
+    Combinator,
     Const,
     FixConst,
     IntLit,
@@ -93,20 +94,28 @@ def arith(op: str, m: int, n: int) -> int:
     return r
 
 
-def _int(t: Term) -> int | None:
-    if type(t) is Const and type(t.value) is IntLit:
-        return t.value.value
-    return None
+_I, _K, _S = (Const(Combinator(name)) for name in "IKS")
 
 
 def _as_literal_pair(t: Term) -> tuple[int, int] | None:
-    """Match a pair of integer literals, either as a ``PairLit`` or in the
-    desugared shape ``\\r. r m n``."""
+    """Match a pair of integer literals: a ``PairLit``, the desugared
+    shape ``\\r. r m n``, or that shape compiled to combinators,
+    ``S (S I (K m)) (K n)`` in optimized mode and
+    ``S (S I (K m)) (S (K I) (K n))`` in naive mode."""
     match t:
         case PairLit(Const(IntLit(m)), Const(IntLit(n))):
             return m, n
         case Lam(r, App(App(Var(r2), Const(IntLit(m))), Const(IntLit(n)))) \
                 if r == r2:
+            return m, n
+        case App(App(s1, App(App(s2, i), App(k1, Const(IntLit(m))))),
+                 App(k2, Const(IntLit(n)))) \
+                if s1 == s2 == _S and i == _I and k1 == k2 == _K:
+            return m, n
+        case App(App(s1, App(App(s2, i1), App(k1, Const(IntLit(m))))),
+                 App(App(s3, App(k2, i2)), App(k3, Const(IntLit(n))))) \
+                if s1 == s2 == s3 == _S and i1 == i2 == _I \
+                and k1 == k2 == k3 == _K:
             return m, n
     return None
 
@@ -135,9 +144,11 @@ def delta_step(t: Term) -> Term | None:
     if type(fun) is App and type(fun.fun) is Const:
         op = type(fun.fun.value)
         if op is AddCurried or op is SubCurried:
-            m, n = _int(fun.arg), _int(t.arg)
-            if m is not None and n is not None:
-                return Const(IntLit(arith(const_name(fun.fun.value), m, n)))
+            m, n = fun.arg, t.arg
+            if type(m) is Const and type(n) is Const and \
+                    type(m.value) is IntLit and type(n.value) is IntLit:
+                return Const(IntLit(arith(const_name(fun.fun.value),
+                                          m.value.value, n.value.value)))
     return None
 
 

@@ -1,81 +1,44 @@
 """Bracket abstraction into the {I, K, S} basis and a reduction machine
 for the resulting combinator terms.
 
-Two abstraction modes exist.  ``naive`` picks rules purely by shape —
-identity for the bound variable, the S rule for any application, K for
-everything else — which reproduces the classic worked derivations
-exactly.  ``optimized`` applies the K rule whenever the variable is not
-free in the body, which yields smaller code.
+Compiled code is a lambda-free term over the constants ``I``, ``K`` and
+``S``; it prints with ``print_term`` and shares the delta rules of
+``reduction.delta_step``.  Two abstraction modes exist.  ``naive`` picks
+rules purely by shape — identity for the bound variable, the S rule for
+any application, K for everything else — which reproduces the classic
+worked derivations exactly.  ``optimized`` applies the K rule whenever
+the variable is not free in the body, which yields smaller code.  In
+both modes a pair value in function position applies via
+``[l, r] f = f l r``.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .reduction import Outcome, arith, run
+from .reduction import Outcome, delta_step, run, trace_lines
 from .syntax import (
     AddCurried,
     AddPair,
     App,
+    Combinator,
     Const,
-    ConstVal,
-    FixConst,
-    IntLit,
     Lam,
-    SubCurried,
     Term,
     Var,
-    const_name,
+    apps,
     desugar_pairs,
+    print_term,
 )
 
+I = Const(Combinator("I"))
+K = Const(Combinator("K"))
+S = Const(Combinator("S"))
 
-class CombTerm:
-    """Base class for combinator terms."""
-
-
-@dataclass(frozen=True)
-class CI(CombTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class CK(CombTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class CS(CombTerm):
-    pass
-
-
-@dataclass(frozen=True)
-class CVar(CombTerm):
-    name: str
-
-
-@dataclass(frozen=True)
-class CConst(CombTerm):
-    value: ConstVal
-
-
-@dataclass(frozen=True)
-class CApp(CombTerm):
-    fun: CombTerm
-    arg: CombTerm
-
-
-I = CI()
-K = CK()
-S = CS()
-
-
-def capps(fun: CombTerm, *args: CombTerm) -> CombTerm:
-    t = fun
-    for a in args:
-        t = CApp(t, a)
-    return t
+# Names from before compiled code became a ``Term``.  ``cli`` prints ski
+# code through ``print_comb``, so that ski printing has its own entry point.
+CombTerm, CApp, CVar, CConst, capps = Term, App, Var, Const, apps
+print_comb, ski_trace_lines = print_term, trace_lines
 
 
 class Mode(enum.Enum):
@@ -83,17 +46,16 @@ class Mode(enum.Enum):
     OPTIMIZED = "optimized"
 
 
-def occurs(x: str, t: CombTerm) -> bool:
+def occurs(x: str, t: Term) -> bool:
     match t:
-        case CVar(name):
+        case Var(name):
             return name == x
-        case CApp(fun, arg):
+        case App(fun, arg):
             return occurs(x, fun) or occurs(x, arg)
     return False
 
 
-def bracket_abstract(x: str, body: CombTerm,
-                     mode: Mode = Mode.OPTIMIZED) -> CombTerm:
+def bracket_abstract(x: str, body: Term, mode: Mode = Mode.OPTIMIZED) -> Term:
     """Eliminate ``x`` from a lambda-free combinator body.
 
     The result never contains ``x``.  In both modes the bound variable
@@ -102,161 +64,108 @@ def bracket_abstract(x: str, body: CombTerm,
     """
     if mode is Mode.OPTIMIZED:
         code = _abstract(x, body)
-        return CApp(K, body) if code is None else code
-    if body == CVar(x):
+        return App(K, body) if code is None else code
+    if body == Var(x):
         return I
     match body:
-        case CApp(fun, arg):
-            return CApp(CApp(S, bracket_abstract(x, fun, mode)),
-                        bracket_abstract(x, arg, mode))
-    return CApp(K, body)
+        case App(fun, arg):
+            return App(App(S, bracket_abstract(x, fun, mode)),
+                       bracket_abstract(x, arg, mode))
+    return App(K, body)
 
 
-def _abstract(x: str, body: CombTerm) -> CombTerm | None:
+def _abstract(x: str, body: Term) -> Term | None:
     """Optimized-mode abstraction of ``x`` from ``body``, or None where
     ``x`` does not occur in ``body`` (the caller then uses ``K body``)."""
     kind = type(body)
-    if kind is CApp:
+    if kind is App:
         fun, arg = _abstract(x, body.fun), _abstract(x, body.arg)
         if fun is None and arg is None:
             return None
-        return CApp(CApp(S, CApp(K, body.fun) if fun is None else fun),
-                    CApp(K, body.arg) if arg is None else arg)
-    if kind is CVar and body.name == x:
+        return App(App(S, App(K, body.fun) if fun is None else fun),
+                   App(K, body.arg) if arg is None else arg)
+    if kind is Var and body.name == x:
         return I
     return None
 
 
-def ski_compile(t: Term, mode: Mode = Mode.OPTIMIZED) -> CombTerm:
+def ski_compile(t: Term, mode: Mode = Mode.OPTIMIZED) -> Term:
     """Compile a term to the combinator basis, eliminating abstractions
     innermost-first.  Pair literals are desugared up front."""
 
-    def go(t: Term) -> CombTerm:
-        match t:
-            case Var(name):
-                return CVar(name)
-            case Const(c):
-                return CConst(c)
-            case App(fun, arg):
-                return CApp(go(fun), go(arg))
-            case Lam(binder, body):
-                return bracket_abstract(binder, go(body), mode)
+    def go(t: Term) -> Term:
+        kind = type(t)
+        if kind is Var or kind is Const:
+            return t
+        if kind is App:
+            return App(go(t.fun), go(t.arg))
+        if kind is Lam:
+            return bracket_abstract(t.binder, go(t.body), mode)
         raise TypeError(f"not a desugared term: {t!r}")
 
     return go(desugar_pairs(t))
 
 
-def _as_literal_pair(t: CombTerm) -> tuple[int, int] | None:
-    """Pair values surface here as compiled ``\\r. r m n``:
-    ``S (S I (K m)) (K n)`` from the optimized compiler or
-    ``S (S I (K m)) (S (K I) (K n))`` from the naive one."""
-    match t:
-        case CApp(CApp(CS(), CApp(CApp(CS(), CI()), CApp(CK(), CConst(IntLit(m))))),
-                  CApp(CK(), CConst(IntLit(n)))):
-            return m, n
-        case CApp(CApp(CS(), CApp(CApp(CS(), CI()), CApp(CK(), CConst(IntLit(m))))),
-                  CApp(CApp(CS(), CApp(CK(), CI())), CApp(CK(), CConst(IntLit(n))))):
-            return m, n
-    return None
-
-
-def _int(t: CombTerm) -> int | None:
-    if type(t) is CConst and type(t.value) is IntLit:
-        return t.value.value
-    return None
-
-
-def _rule(t: CApp) -> CombTerm | None:
-    """The I/K/S/delta rule for the application ``t``, dispatched on the
-    types of the first three nodes of its spine."""
-    fun, arg = t.fun, t.arg
-    kind = type(fun)
-    if kind is CI:
-        return arg
-    if kind is CConst:
-        op = type(fun.value)
-        if op is AddPair:
-            pair = _as_literal_pair(arg)
-            if pair is not None:
-                return CConst(IntLit(arith("+", *pair)))
-        elif op is FixConst:
-            return CApp(arg, t)
-        return None
-    if kind is not CApp:
+def _rule(t: App) -> Term | None:
+    """The I/K/S rule for the application ``t``, dispatched on the types
+    of the first three nodes of its spine, or the delta rule where a
+    constant other than a combinator heads the spine."""
+    fun = t.fun
+    if type(fun) is Const:
+        c = fun.value
+        if type(c) is not Combinator:
+            return delta_step(t)
+        return t.arg if c.name == "I" else None
+    if type(fun) is not App:
         return None
     head = fun.fun
-    kind = type(head)
-    if kind is CK:
-        return fun.arg
-    if kind is CConst:
-        op = type(head.value)
-        if op is AddCurried or op is SubCurried:
-            m, n = _int(fun.arg), _int(arg)
-            if m is not None and n is not None:
-                return CConst(IntLit(arith(const_name(head.value), m, n)))
-        return None
-    if kind is CApp and type(head.fun) is CS:
-        return CApp(CApp(head.arg, arg), CApp(fun.arg, arg))
+    if type(head) is Const:
+        c = head.value
+        if type(c) is not Combinator:
+            return delta_step(t)
+        return fun.arg if c.name == "K" else None
+    if type(head) is App:
+        c = head.fun
+        if type(c) is Const and type(c.value) is Combinator and \
+                c.value.name == "S":
+            return App(App(head.arg, t.arg), App(fun.arg, t.arg))
     return None
 
 
-def _step(t: CombTerm, memo: dict[int, CombTerm]) -> CombTerm | None:
-    if type(t) is not CApp or id(t) in memo:
+def _step(t: Term, memo: dict[int, Term]) -> Term | None:
+    if type(t) is not App or id(t) in memo:
         return None
     hit = _rule(t)
     if hit is not None:
         return hit
     f = _step(t.fun, memo)
     if f is not None:
-        return CApp(f, t.arg)
+        return App(f, t.arg)
     a = _step(t.arg, memo)
     if a is not None:
-        return CApp(t.fun, a)
+        return App(t.fun, a)
+    if type(t.fun) is Const and type(t.fun.value) is AddPair:
+        match t.arg:  # + p = p add for a pair p = [l, r] = S (S I x) y
+            case App(App(Const(Combinator("S")), App(App(
+                    Const(Combinator("S")), Const(Combinator("I"))), _)), _):
+                return App(t.arg, Const(AddCurried()))
     memo[id(t)] = t
     return None
 
 
-def ski_step(t: CombTerm) -> CombTerm | None:
-    """Contract the leftmost-outermost I/K/S/delta redex, if any."""
+def ski_step(t: Term) -> Term | None:
+    """Contract the leftmost-outermost I/K/S/delta/pair redex, if any."""
     return _step(t, {})
 
 
-def ski_reduce(t: CombTerm, max_steps: int = 10000,
+def ski_reduce(t: Term, max_steps: int = 10000,
                collect_trace: bool = False) -> Outcome:
     return run(_step, t, max_steps, collect_trace)
 
 
-def comb_size(t: CombTerm) -> int:
+def comb_size(t: Term) -> int:
     """Number of application nodes."""
     match t:
-        case CApp(fun, arg):
+        case App(fun, arg):
             return 1 + comb_size(fun) + comb_size(arg)
     return 0
-
-
-def print_comb(t: CombTerm) -> str:
-    """Juxtaposition with minimal parentheses: only composite arguments
-    are wrapped."""
-
-    def go(t: CombTerm) -> str:
-        match t:
-            case CI():
-                return "I"
-            case CK():
-                return "K"
-            case CS():
-                return "S"
-            case CVar(name):
-                return name
-            case CConst(c):
-                return const_name(c)
-            case CApp(fun, arg):
-                a = f"({go(arg)})" if isinstance(arg, CApp) else go(arg)
-                return f"{go(fun)} {a}"
-        raise TypeError(f"not a combinator term: {t!r}")
-
-    return go(t)
-
-
-def ski_trace_lines(terms: tuple[CombTerm, ...]) -> list[str]:
-    return [f"step {i}: {print_comb(t)}" for i, t in enumerate(terms)]

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator
 
-from .reduction import Outcome, delta_step, run
+from .reduction import Outcome, delta_step, run, trace_lines
 from .syntax import (
     App,
     Const,
@@ -272,5 +272,4 @@ def parse_program(text: str) -> ScProgram:
     return ScProgram(tuple(defs), parse(main_src))
 
 
-def sc_trace_lines(terms: tuple[Term, ...]) -> list[str]:
-    return [f"step {i}: {print_term(t)}" for i, t in enumerate(terms)]
+sc_trace_lines = trace_lines

@@ -60,6 +60,12 @@ class FixConst(ConstVal):
 
 
 @dataclass(frozen=True)
+class Combinator(ConstVal):
+    """``I``, ``K`` or ``S`` in compiled SKI code; never parsed."""
+    name: str
+
+
+@dataclass(frozen=True)
 class Opaque(ConstVal):
     """A constant with no reduction rule; an inert head."""
     name: str
@@ -455,7 +461,7 @@ def const_name(c: ConstVal) -> str:
             return "sub"
         case FixConst():
             return "fix"
-        case Opaque(name):
+        case Combinator(name) | Opaque(name):
             return name
     raise TypeError(f"not a constant: {c!r}")
 
@@ -465,34 +471,37 @@ def print_term(t: Term) -> str:
     terms over the concrete grammar (opaque constants print as bare
     names and are not re-readable)."""
 
-    def fun_pos(t: Term) -> str:
-        # a lambda in function position needs parentheses
-        if isinstance(t, Lam):
-            return f"({go(t)})"
-        return go(t)
+    out: list[str] = []
 
-    def arg_pos(t: Term) -> str:
-        if isinstance(t, (Lam, App)):
-            return f"({go(t)})"
-        return go(t)
+    def go(t: Term, wrap: bool = False) -> None:
+        if wrap:
+            out.append("(")
+        kind = type(t)
+        if kind is App:
+            go(t.fun, type(t.fun) is Lam)
+            out.append(" ")
+            go(t.arg, type(t.arg) is App or type(t.arg) is Lam)
+        elif kind is Var:
+            out.append(t.name)
+        elif kind is Const:
+            out.append(const_name(t.value))
+        elif kind is Lam:
+            binders = []
+            while type(t) is Lam:
+                binders.append(t.binder)
+                t = t.body
+            out.append(f"\\{' '.join(binders)}. ")
+            go(t)
+        elif kind is PairLit:
+            out.append("[")
+            go(t.left)
+            out.append(", ")
+            go(t.right)
+            out.append("]")
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        if wrap:
+            out.append(")")
 
-    def go(t: Term) -> str:
-        match t:
-            case Var(name):
-                return name
-            case Const(c):
-                return const_name(c)
-            case App(fun, arg):
-                return f"{fun_pos(fun)} {arg_pos(arg)}"
-            case Lam():
-                binders = []
-                body = t
-                while isinstance(body, Lam):
-                    binders.append(body.binder)
-                    body = body.body
-                return f"\\{' '.join(binders)}. {go(body)}"
-            case PairLit(left, right):
-                return f"[{go(left)}, {go(right)}]"
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t)
+    go(t)
+    return "".join(out)

@@ -196,28 +196,34 @@ def infer_with_annotations(t: Term,
     subst: dict[int, Type] = {}
     binder_types: dict[str, Type] = {}
 
-    def go(t: Term, ctx: dict[str, Type]) -> Type:
+    # one context for the whole term: the types a name is bound to, the
+    # innermost binder last
+    ctx: dict[str, list[Type]] = {x: [ty] for x, ty in (env or {}).items()}
+
+    def go(t: Term) -> Type:
         match t:
             case Var(name):
-                if name not in ctx:
+                if not ctx.get(name):
                     raise UnboundVariableError(name)
-                return ctx[name]
+                return ctx[name][-1]
             case Const(c):
                 return _const_type(c, fresh)
             case App(fun, arg):
-                tf = go(fun, ctx)
-                ta = go(arg, ctx)
+                tf = go(fun)
+                ta = go(arg)
                 res = fresh()
                 _unify(tf, Arrow(ta, res), subst)
                 return res
             case Lam(binder, body):
                 dom = fresh()
                 binder_types[binder] = dom
-                cod = go(body, ctx | {binder: dom})
+                ctx.setdefault(binder, []).append(dom)
+                cod = go(body)
+                ctx[binder].pop()
                 return Arrow(dom, cod)
         raise TypeError(f"not a desugared term: {t!r}")
 
-    ty = go(desugar_pairs(t), dict(env) if env else {})
+    ty = go(desugar_pairs(t))
     names = sorted(binder_types)
     solved = _canonicalize_many(
         [apply_subst(subst, ty)] +

@@ -147,7 +147,15 @@ def test_disagreement_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_stuck_backend_is_disagreement(monkeypatch, capsys):
-    # naive ski leaves a non-integer normal form; the others reach 6
+    # ski stops at once at a non-integer normal form; the others reach 6
+    from appliq import ski
+    from appliq.reduction import Outcome, Status
+
+    def stuck(code, max_steps, collect_trace=False):
+        return Outcome(code, 0, Status.NORMAL_FORM,
+                       (code,) if collect_trace else None)
+
+    monkeypatch.setattr(ski, "ski_reduce", stuck)
     monkeypatch.setattr("sys.stdin", io.StringIO("+ [+ [1,2], 3]\n"))
     assert cli.main(["--backend", "all", "--ski-mode", "naive"]) == \
         cli.EXIT_DISAGREEMENT
@@ -234,7 +242,8 @@ def test_entry_points_are_looked_up_when_called(tmp_path, monkeypatch,
     for mod, attr in ((cli, "reduce"), (ski, "ski_compile"),
                       (ski, "ski_reduce"), (cam, "cam_compile"),
                       (cam, "cam_eval_closure"), (superc, "lift"),
-                      (superc, "sc_reduce"), (superc, "print_program")):
+                      (superc, "sc_reduce"), (superc, "print_program"),
+                      (ski, "print_comb")):
         def counted(*args, _fn=getattr(mod, attr), _key=attr, **kwargs):
             calls[_key] = calls.get(_key, 0) + 1
             return _fn(*args, **kwargs)
@@ -242,7 +251,8 @@ def test_entry_points_are_looked_up_when_called(tmp_path, monkeypatch,
     path = _write(tmp_path, F_SOURCE)
     assert cli.main([path, "--backend", "all"]) == cli.EXIT_OK
     assert cli.main([path, "--emit", "sc"]) == cli.EXIT_OK
+    assert cli.main([path, "--emit", "ski"]) == cli.EXIT_OK
     capsys.readouterr()
     assert set(calls) == {"reduce", "ski_compile", "ski_reduce",
                           "cam_compile", "cam_eval_closure", "lift",
-                          "sc_reduce", "print_program"}
+                          "sc_reduce", "print_program", "print_comb"}

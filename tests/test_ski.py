@@ -155,6 +155,26 @@ def test_cross_backend_sample():
         assert out.result == CConst(expected.value)
 
 
+def test_both_modes_reach_the_integer_of_beta():
+    # naive code keeps a computed pair's components under S (K .), so no
+    # literal pair ever reaches '+'; the pair is applied to 'add' instead
+    rng = random.Random(7)
+    for _ in range(300):
+        t = gen_int_term(rng, rng.randint(1, 4))
+        expected = reduce(t, EvalConfig(max_steps=10000)).result
+        for mode in Mode:
+            out = ski_reduce(ski_compile(t, mode), 10000)
+            assert out.result == expected, (mode, t)
+
+
+def test_plus_of_a_non_pair_stays_stuck():
+    for src in ("+ 3", r"+ (\x. x)", r"+ (\x y. x)", "+ add"):
+        for mode in Mode:
+            code = ski_compile(parse(src), mode)
+            out = ski_reduce(code, 100)
+            assert (out.result, out.steps_used) == (code, 0), (src, mode)
+
+
 def test_printer_minimal_parens():
     t = capps(S, CApp(K, I), CVar("x"))
     assert print_comb(t) == "S (K I) x"

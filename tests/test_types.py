@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -57,6 +58,31 @@ def test_infer_unbound_variable():
     with pytest.raises(UnboundVariableError):
         infer(parse("x"))
     assert infer(parse("x"), {"x": NAT}) == NAT
+
+
+def test_infer_binder_scope():
+    # an inner binder shadows the outer one only inside its body
+    assert infer(parse(r"\x. add ((\x. x 1) (\z. z)) x")) == Arrow(NAT, NAT)
+    with pytest.raises(UnboundVariableError):
+        infer(parse(r"(\x. x) x"))
+    env = {"x": NAT}
+    assert infer(parse(r"(\x. x) add x"), env) == Arrow(NAT, NAT)
+    assert env == {"x": NAT}
+
+
+def test_infer_memory_is_linear_in_binder_nesting():
+    # one context for the whole term, not a copy per binder kept alive
+    # on the recursion stack
+    def peak(n):
+        t = parse("\\" + " ".join(f"x{i}" for i in range(n)) + ". 0")
+        tracemalloc.start()
+        try:
+            infer(t)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) < 3 * peak(1000)
 
 
 def test_infer_fix():
