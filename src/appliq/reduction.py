@@ -14,12 +14,14 @@ from .syntax import (
     AddCurried,
     AddPair,
     App,
-    Combinator,
     Const,
     FixConst,
+    I,
     IntLit,
+    K,
     Lam,
     PairLit,
+    S,
     SubCurried,
     Term,
     Var,
@@ -94,9 +96,6 @@ def arith(op: str, m: int, n: int) -> int:
     return r
 
 
-_I, _K, _S = (Const(Combinator(name)) for name in "IKS")
-
-
 def _as_literal_pair(t: Term) -> tuple[int, int] | None:
     """Match a pair of integer literals: a ``PairLit``, the desugared
     shape ``\\r. r m n``, or that shape compiled to combinators,
@@ -110,12 +109,12 @@ def _as_literal_pair(t: Term) -> tuple[int, int] | None:
             return m, n
         case App(App(s1, App(App(s2, i), App(k1, Const(IntLit(m))))),
                  App(k2, Const(IntLit(n)))) \
-                if s1 == s2 == _S and i == _I and k1 == k2 == _K:
+                if s1 == s2 == S and i == I and k1 == k2 == K:
             return m, n
         case App(App(s1, App(App(s2, i1), App(k1, Const(IntLit(m))))),
                  App(App(s3, App(k2, i2)), App(k3, Const(IntLit(n))))) \
-                if s1 == s2 == s3 == _S and i1 == i2 == _I \
-                and k1 == k2 == k3 == _K:
+                if s1 == s2 == s3 == S and i1 == i2 == I \
+                and k1 == k2 == k3 == K:
             return m, n
     return None
 

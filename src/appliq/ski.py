@@ -23,17 +23,16 @@ from .syntax import (
     App,
     Combinator,
     Const,
+    I,
+    K,
     Lam,
+    S,
     Term,
     Var,
     apps,
     desugar_pairs,
     print_term,
 )
-
-I = Const(Combinator("I"))
-K = Const(Combinator("K"))
-S = Const(Combinator("S"))
 
 # Names from before compiled code became a ``Term``.  ``cli`` prints ski
 # code through ``print_comb``, so that ski printing has its own entry point.
@@ -112,24 +111,28 @@ def _rule(t: App) -> Term | None:
     constant other than a combinator heads the spine."""
     fun = t.fun
     if type(fun) is Const:
-        c = fun.value
-        if type(c) is not Combinator:
+        if type(fun.value) is not Combinator:
             return delta_step(t)
-        return t.arg if c.name == "I" else None
+        return t.arg if fun is I else None
     if type(fun) is not App:
         return None
     head = fun.fun
     if type(head) is Const:
-        c = head.value
-        if type(c) is not Combinator:
+        if type(head.value) is not Combinator:
             return delta_step(t)
-        return fun.arg if c.name == "K" else None
-    if type(head) is App:
-        c = head.fun
-        if type(c) is Const and type(c.value) is Combinator and \
-                c.value.name == "S":
-            return App(App(head.arg, t.arg), App(fun.arg, t.arg))
+        return fun.arg if head is K else None
+    if type(head) is App and head.fun is S:
+        return App(App(head.arg, t.arg), App(fun.arg, t.arg))
     return None
+
+
+def _ignores_binder(t: Term) -> bool:
+    """Whether ``t``, compiled from a component of a pair ``\\r. r l r'``,
+    ignores ``r``: it is ``K z``, or ``S u v`` with ``u`` and ``v`` alike."""
+    if type(t) is not App:
+        return False
+    return t.fun is K or type(t.fun) is App and t.fun.fun is S and \
+        _ignores_binder(t.fun.arg) and _ignores_binder(t.arg)
 
 
 def _step(t: Term, memo: dict[int, Term]) -> Term | None:
@@ -145,9 +148,9 @@ def _step(t: Term, memo: dict[int, Term]) -> Term | None:
     if a is not None:
         return App(t.fun, a)
     if type(t.fun) is Const and type(t.fun.value) is AddPair:
-        match t.arg:  # + p = p add for a pair p = [l, r] = S (S I x) y
-            case App(App(Const(Combinator("S")), App(App(
-                    Const(Combinator("S")), Const(Combinator("I"))), _)), _):
+        match t.arg:  # + [l, r] = [l, r] add, with [l, r] = S (S I x) y
+            case App(App(s1, App(App(s2, i), x)), y) if s1 is S and s2 is S \
+                    and i is I and _ignores_binder(x) and _ignores_binder(y):
                 return App(t.arg, Const(AddCurried()))
     memo[id(t)] = t
     return None

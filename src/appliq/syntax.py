@@ -85,6 +85,10 @@ class Const(Term):
     value: ConstVal
 
 
+# The only combinator nodes of compiled SKI code, told apart by identity.
+I, K, S = (Const(Combinator(name)) for name in "IKS")
+
+
 @dataclass(frozen=True)
 class App(Term):
     fun: Term

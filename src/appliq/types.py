@@ -196,8 +196,7 @@ def infer_with_annotations(t: Term,
     subst: dict[int, Type] = {}
     binder_types: dict[str, Type] = {}
 
-    # one context for the whole term: the types a name is bound to, the
-    # innermost binder last
+    # one context for the whole term: each name's types, innermost last
     ctx: dict[str, list[Type]] = {x: [ty] for x, ty in (env or {}).items()}
 
     def go(t: Term) -> Type:

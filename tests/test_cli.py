@@ -164,6 +164,22 @@ def test_stuck_backend_is_disagreement(monkeypatch, capsys):
     assert "agreement: no" in out
 
 
+@pytest.mark.parametrize("source", [r"+ (\r. r 1 (r 2 3))",
+                                    r"+ (\r. r (r 1 2) 3)"])
+@pytest.mark.parametrize("mode", ["naive", "optimized"])
+def test_plus_of_a_function_using_its_argument_is_stuck(source, mode,
+                                                        monkeypatch, capsys):
+    # \r. r l r' is a pair only where l and r' do not use r; no backend
+    # adds these, so none reaches an integer
+    monkeypatch.setattr("sys.stdin", io.StringIO(source + "\n"))
+    assert cli.main(["--backend", "all", "--ski-mode", mode, "--json"]) == \
+        cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    ski = next(b for b in report["backends"] if b["name"] == "ski")
+    assert (ski["result"], ski["steps"]) == (ski["compiled"], 0)
+    assert report["agreement"] is None
+
+
 def test_budget_exhausted_backend_under_all(tmp_path, capsys):
     # beta and sc finish in 2 steps; ski and cam need more than 3
     path = _write(tmp_path, r"(\x. add x x) 3")
