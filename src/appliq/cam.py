@@ -18,6 +18,11 @@ leftmost-innermost strategy using
     (pair)   [x,y] z         ->  z x y    (pairing combinator applied)
     (eps)    eps [f, z]      ->  f z      (f not a L(.)-closure)
     (delta)  arithmetic on integer values
+    (fix)    fix g           ->  eps [g, L($[$['fix, 1!], 0!]) [(), g]]
+
+The fix rule is the call-by-value fixpoint ``fix g -> g (\\x. fix g x)``:
+the unfolded ``fix g`` waits inside a closure until it is applied, so the
+innermost strategy does not unfold it forever.
 
 Environments are pair-value spines terminating in (); quoted
 non-integer constants are unfolded to L(c o Snd) before evaluation so
@@ -26,14 +31,15 @@ they survive being stored in an environment and applied later.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .debruijn import DApp, DConst, DLam, DPair, DTerm, Index
-from .reduction import Outcome, arith, run
+from .reduction import Fields, Outcome, Rules, arith, run, step
 from .syntax import (
     AddCurried,
     AddPair,
     ConstVal,
+    FixConst,
     IntLit,
     SubCurried,
     const_name,
@@ -191,10 +197,19 @@ def expand_abbreviations(c: CatCode) -> CatCode:
     return _map_children(c, expand_abbreviations)
 
 
-def _rule(c: Ap, primitive_only: bool) -> tuple[CatCode, str] | None:
-    """The rewrite rule for the juxtaposition ``c``, if any; every rule
-    has one at its root.  Rules are picked by the type of the applied
-    code, so a juxtaposition no rule fits costs a few type checks."""
+# The code of ``\\x. fix g x`` under the environment ``[(), g]``, with the
+# quoted ``fix`` unfolded; ``fix g`` applies ``g`` to its closure.
+_FIX_BODY = AppC(AppC(LamC(Comp(KConst(FixConst()), SND)), Bang(1)), Bang(0))
+_FIX_BODY_PRIMITIVE = expand_abbreviations(_FIX_BODY)
+
+
+def _rule(c: CatCode, primitive_only: bool) -> tuple[CatCode, str] | None:
+    """The rewrite rule for ``c``, if any; every rule has a
+    juxtaposition at its root.  Rules are picked by the type of the
+    applied code, so a juxtaposition no rule fits costs a few type
+    checks."""
+    if type(c) is not Ap:
+        return None
     f, z = c.fun, c.arg
     kind = type(f)
     if kind is Comp:
@@ -226,6 +241,9 @@ def _rule(c: Ap, primitive_only: bool) -> tuple[CatCode, str] | None:
                 type(body.right) is SndC:
             return body.left, "quote"
         return None
+    if kind is KConst and type(f.value) is FixConst:
+        body = _FIX_BODY_PRIMITIVE if primitive_only else _FIX_BODY
+        return Ap(EPS, PairV(z, Ap(LamC(body), PairV(UNIT, z)))), "fix"
     if type(z) is not PairV:
         return None
     if kind is Eps:
@@ -249,58 +267,27 @@ def _rule(c: Ap, primitive_only: bool) -> tuple[CatCode, str] | None:
     return None
 
 
-_PAIRS = (AppC, Couple, PairV, Comp)
+_FIELDS: dict[type, Fields] = {
+    Ap: lambda c: [c.fun, c.arg],
+    AppC: lambda c: [c.left, c.right],
+    Couple: lambda c: [c.left, c.right],
+    PairV: lambda c: [c.left, c.right],
+    Comp: lambda c: [c.left, c.right],
+    LamC: lambda c: [c.body],
+    QuoteC: lambda c: [c.val],
+}
 
 
-def _step(c: CatCode, primitive_only: bool,
-          memo: dict[int, CatCode]) -> tuple[CatCode, str] | None:
-    """Leftmost-innermost: children left to right, then the node.
-
-    ``memo`` maps ``id(node)`` to the node for subtrees already found to
-    hold no redex; they are skipped and every redex-free subtree met is
-    added.  Share one memo only across the steps of one evaluation with
-    one ``primitive_only``.
-    """
-    kind = type(c)
-    if kind is Ap:
-        if id(c) in memo:
-            return None
-        x, y = c.fun, c.arg
-        hit = _step(x, primitive_only, memo)
-        if hit is not None:
-            return Ap(hit[0], y), hit[1]
-        hit = _step(y, primitive_only, memo)
-        if hit is not None:
-            return Ap(x, hit[0]), hit[1]
-        hit = _rule(c, primitive_only)
-        if hit is not None:
-            return hit
-    elif kind in _PAIRS:
-        if id(c) in memo:
-            return None
-        x, y = c.left, c.right
-        hit = _step(x, primitive_only, memo)
-        if hit is not None:
-            return kind(hit[0], y), hit[1]
-        hit = _step(y, primitive_only, memo)
-        if hit is not None:
-            return kind(x, hit[0]), hit[1]
-    elif kind is LamC or kind is QuoteC:
-        if id(c) in memo:
-            return None
-        hit = _step(c.body if kind is LamC else c.val, primitive_only, memo)
-        if hit is not None:
-            return kind(hit[0]), hit[1]
-    else:
-        return None
-    memo[id(c)] = c
-    return None
+def _rules(primitive_only: bool) -> Rules:
+    """Leftmost-innermost: a juxtaposition's rule is tried once both of
+    its children hold no redex, and the search resumes at each
+    contractum."""
+    return Rules(_FIELDS, after=lambda c, path: _rule(c, primitive_only))
 
 
 def cam_step(c: CatCode) -> CatCode | None:
     """One leftmost-innermost rewrite, or ``None`` at normal form."""
-    hit = _step(c, False, {})
-    return hit[0] if hit is not None else None
+    return step(c, _rules(False))
 
 
 def cam_eval_closure(compiled: CatCode, max_steps: int = 10000,
@@ -313,19 +300,8 @@ def cam_eval_closure(compiled: CatCode, max_steps: int = 10000,
     each state with the rule that produced it (None for the first)."""
     if not primitive_only:
         compiled = unfold_constant_quotes(compiled)
-    rules: list[str | None] = [None]
-
-    def step(c: CatCode, memo: dict[int, CatCode]) -> CatCode | None:
-        hit = _step(c, primitive_only, memo)
-        if hit is None:
-            return None
-        rules.append(hit[1])
-        return hit[0]
-
-    out = run(step, Ap(compiled, UNIT), max_steps, collect_trace)
-    if out.trace is None:
-        return out
-    return replace(out, trace=tuple(zip(rules, out.trace)))
+    return run(Ap(compiled, UNIT), _rules(primitive_only), max_steps,
+               collect_trace, named=True)
 
 
 def print_cat(c: CatCode, expand_quotes: bool = False) -> str:

@@ -1,12 +1,18 @@
 """Directed reduction for the applicative theory: beta steps, delta rules
 for arithmetic, optional eta contraction, normal- or applicative-order
-strategies under a step budget."""
+strategies under a step budget.
+
+The redex search here serves all four backends.  A backend supplies its
+rules; :class:`Search` keeps the path from the root to the current node
+as a stack and, after each contraction, resumes there instead of
+walking down from the root again, so the work per step does not grow
+with the depth of the term."""
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .syntax import (
     INT64_MAX,
@@ -65,26 +71,192 @@ class Outcome:
     trace: tuple | None = field(default=None, compare=False)
 
 
-def run(step: Callable[[Any, dict[int, Any]], Any | None], t: Any,
-        max_steps: int, collect_trace: bool = False) -> Outcome:
-    """Apply ``step(state, memo)`` until it returns None or ``max_steps``
-    steps are taken.  ``memo`` maps ``id(node)`` to the node for subtrees
-    found to hold no redex; it lives for this call only.  When the
-    budget runs out, one more probe tells a normal form reached by the
-    last step from an exhausted budget."""
-    memo: dict[int, Any] = {}
-    trace = [t] if collect_trace else None
-    steps, status = 0, Status.NORMAL_FORM
-    while (nxt := step(t, memo)) is not None:
-        if steps == max_steps:
-            status = Status.BUDGET_EXHAUSTED
-            break
-        t = nxt
+# A rule is called as ``rule(node, path)`` and returns None or
+# ``(contractum, rule name)``.
+Rule = Callable[[Any, list], "tuple[Any, str] | None"]
+# A node's fields as a list, in the order its class takes them, so that
+# ``type(node)(*fields)`` rebuilds it; fields that are not nodes of a
+# searched class, such as a binder's name, are skipped by the search.
+Fields = Callable[[Any], list]
+
+TERM_FIELDS: dict[type, Fields] = {
+    App: lambda t: [t.fun, t.arg],
+    Lam: lambda t: [t.binder, t.body],
+    PairLit: lambda t: [t.left, t.right],
+}
+
+# How many ancestors of a contracted node an outermost strategy checks
+# again: the deepest rule pattern, delta's naive compiled pair
+# ``+ (S (S I (K m)) (S (K I) (K n)))``, reaches five levels below the
+# application it fires at.
+REACH = 5
+
+
+class Rules(NamedTuple):
+    """What a backend hands the redex search.
+
+    ``before`` is tried at a node before its children (outermost
+    strategies), ``after`` once its children hold no redex (innermost
+    strategies, and ski's pair rule).  ``fields`` lists the node classes
+    that are searched; nodes of other classes are skipped.  After a
+    contraction, ``before`` is tried again at the ``reach`` nearest
+    ancestors of the contractum, or at all of them when ``reach`` is
+    None, outermost first; then the search resumes at the contractum.
+    With ``spine`` the function child of an ``App`` is searched
+    even when it is known to hold no redex on its own, because a rule at
+    the head of an application spine counts the arguments above it."""
+    fields: dict[type, Fields]
+    before: Rule | None = None
+    after: Rule | None = None
+    reach: int | None = 0
+    spine: bool = False
+
+
+class Search:
+    """A leftmost redex search over one term that resumes after each
+    contraction where it left off (a zipper: Huet, *The Zipper*, 1997).
+
+    ``path`` holds one frame ``[node, children, index, changed]`` per
+    ancestor of the focus, the bottom one over the whole term: ``index``
+    is the child being searched and ``changed`` says that ``children`` no
+    longer are ``node``'s own.  A child that is unchanged keeps its
+    parent's identity, so the memo of redex-free subtrees, keyed by
+    ``id(node)``, stays valid; the memo lives as long as the search.
+    A ``before`` rule may pop frames off ``path`` to fire at an ancestor
+    of the node it was called on."""
+
+    __slots__ = ("rules", "path", "memo", "recheck")
+
+    def __init__(self, t: Any, rules: Rules):
+        self.rules = rules
+        self.path: list[list] = [[None, [t], -1, False]]
+        self.memo: dict[int, Any] = {}
+        self.recheck = 0  # ancestors whose ``before`` rule is due again
+
+    def find(self) -> tuple[Any, str] | None:
+        """Search on to the next redex and return its rule's hit, with the
+        path leading to it; None at normal form."""
+        rules, path, memo = self.rules, self.path, self.memo
+        fields, before, after = rules.fields, rules.before, rules.after
+        spine = rules.spine
+        if self.recheck:
+            held = path[-self.recheck:]
+            del path[-self.recheck:]
+            self.recheck = 0
+            for frame in held:  # outermost first
+                hit = before(frame[0], path)
+                if hit is not None:
+                    return hit
+                path.append(frame)
+        frame = path[-1]
+        node, kids, i, _ = frame
+        while True:
+            i += 1
+            if i < len(kids):
+                c = kids[i]
+                get = fields.get(type(c))
+                if get is None or id(c) in memo and not (
+                        spine and i == 0 and type(node) is App):
+                    continue
+                frame[2] = i
+                if before is not None:
+                    hit = before(c, path)
+                    if hit is not None:
+                        return hit
+                children = get(c)
+                if children:
+                    node, kids, i = c, children, -1
+                    frame = [c, kids, -1, False]
+                    path.append(frame)
+                continue
+            if len(path) == 1:
+                frame[2] = i - 1
+                return None
+            path.pop()
+            if frame[3]:
+                node = type(node)(*kids)
+            frame = path[-1]
+            kids, i = frame[1], frame[2]
+            if node is not kids[i]:
+                kids[i] = node
+                frame[3] = True
+            if after is not None:
+                hit = after(node, path)
+                if hit is not None:
+                    return hit
+            memo[id(node)] = node
+            node = frame[0]
+
+    def contract(self, hit: tuple[Any, str]) -> None:
+        """Put the contractum of the redex ``find`` returned in its place,
+        to be searched next, and rebuild the ancestors whose ``before``
+        rule it may enable, for ``find`` to try first."""
+        path, reach = self.path, self.rules.reach
+        frame = path[-1]
+        i = frame[2]
+        frame[1][i] = hit[0]
+        frame[2] = i - 1
+        frame[3] = True
+        levels = len(path) - 1
+        if reach is not None and reach < levels:
+            levels = reach
+        for j in range(1, levels + 1):
+            frame = path[-j]
+            node = type(frame[0])(*frame[1])
+            frame[0] = node
+            frame[3] = False
+            below = path[-j - 1]
+            below[1][below[2]] = node
+            below[3] = True
+        self.recheck = levels
+
+    def term(self) -> Any:
+        """The whole term, as it stands between contractions."""
+        node = None
+        for parent, kids, i, changed in reversed(self.path[1:]):
+            if node is not None and node is not kids[i]:
+                kids = kids.copy()
+                kids[i] = node
+                changed = True
+            node = type(parent)(*kids) if changed else parent
+        return self.path[0][1][0] if node is None else node
+
+
+def run(t: Any, rules: Rules, max_steps: int, collect_trace: bool = False,
+        named: bool = False) -> Outcome:
+    """Contract redexes of ``t`` in the order ``rules`` give until none is
+    left or ``max_steps`` are taken.  When the budget runs out, one more
+    search tells a normal form reached by the last step from an exhausted
+    budget.  With ``named``, trace entries are ``(rule name, state)``
+    pairs, the first with None."""
+    search = Search(t, rules)
+    trace = None
+    if collect_trace:
+        trace = [(None, t) if named else t]
+    steps = 0
+    while steps < max_steps and (hit := search.find()) is not None:
+        search.contract(hit)
         steps += 1
         if trace is not None:
-            trace.append(t)
-    return Outcome(t, steps, status,
+            state = search.term()
+            trace.append((hit[1], state) if named else state)
+    result = search.term()
+    status = Status.NORMAL_FORM
+    if steps == max_steps and search.find() is not None:
+        status = Status.BUDGET_EXHAUSTED
+    return Outcome(result, steps, status,
                    tuple(trace) if trace is not None else None)
+
+
+def step(t: Any, rules: Rules) -> Any | None:
+    """The state after one contraction, found from the root, or None at
+    normal form."""
+    search = Search(t, rules)
+    hit = search.find()
+    if hit is None:
+        return None
+    search.contract(hit)
+    return search.term()
 
 
 def arith(op: str, m: int, n: int) -> int:
@@ -184,99 +356,57 @@ def _eta_redex(t: Lam) -> Term | None:
     return None
 
 
-def _normal(t: Term, use_eta: bool, memo: dict[int, Term]) -> Term | None:
-    kind = type(t)
-    if kind is Var or kind is Const or id(t) in memo:
+def _beta_delta(t: Term, path: list) -> tuple[Term, str] | None:
+    """The delta or beta contraction of the application ``t``, delta
+    first."""
+    if type(t) is not App:
         return None
-    if kind is App:
-        d = delta_step(t)
-        if d is not None:
-            return d
-        fun = t.fun
-        if type(fun) is Lam:
-            return subst(t.arg, fun.binder, fun.body)
-        f = _normal(fun, use_eta, memo)
-        if f is not None:
-            return App(f, t.arg)
-        a = _normal(t.arg, use_eta, memo)
-        if a is not None:
-            return App(fun, a)
-    elif kind is Lam:
-        if use_eta:
-            f = _eta_redex(t)
-            if f is not None:
-                return f
-        b = _normal(t.body, use_eta, memo)
-        if b is not None:
-            return Lam(t.binder, b)
-    elif kind is PairLit:
-        l = _normal(t.left, use_eta, memo)
-        if l is not None:
-            return PairLit(l, t.right)
-        r = _normal(t.right, use_eta, memo)
-        if r is not None:
-            return PairLit(t.left, r)
-    memo[id(t)] = t
+    d = delta_step(t)
+    if d is not None:
+        return d, "delta"
+    fun = t.fun
+    if type(fun) is Lam:
+        return subst(t.arg, fun.binder, fun.body), "beta"
     return None
 
 
-def _applicative(t: Term, use_eta: bool,
-                 memo: dict[int, Term]) -> Term | None:
-    kind = type(t)
-    if kind is Var or kind is Const or id(t) in memo:
-        return None
-    if kind is App:
-        f = _applicative(t.fun, use_eta, memo)
-        if f is not None:
-            return App(f, t.arg)
-        a = _applicative(t.arg, use_eta, memo)
-        if a is not None:
-            return App(t.fun, a)
-        d = delta_step(t)
-        if d is not None:
-            return d
-        if type(t.fun) is Lam:
-            return subst(t.arg, t.fun.binder, t.fun.body)
-    elif kind is Lam:
-        b = _applicative(t.body, use_eta, memo)
-        if b is not None:
-            return Lam(t.binder, b)
-        if use_eta:
-            f = _eta_redex(t)
-            if f is not None:
-                return f
-    elif kind is PairLit:
-        l = _applicative(t.left, use_eta, memo)
-        if l is not None:
-            return PairLit(l, t.right)
-        r = _applicative(t.right, use_eta, memo)
-        if r is not None:
-            return PairLit(t.left, r)
-    memo[id(t)] = t
-    return None
+def _beta_delta_eta(t: Term, path: list) -> tuple[Term, str] | None:
+    """:func:`_beta_delta`, or the eta contraction of the abstraction
+    ``t``."""
+    if type(t) is Lam:
+        f = _eta_redex(t)
+        return (f, "eta") if f is not None else None
+    return _beta_delta(t, path)
+
+
+def _rules(strategy: Strategy, use_eta: bool) -> Rules:
+    rule = _beta_delta_eta if use_eta else _beta_delta
+    if strategy is Strategy.APPLICATIVE_ORDER:
+        return Rules(TERM_FIELDS, after=rule)
+    # eta at an abstraction reads the free variables of its whole body, so
+    # a contraction anywhere below it can enable it
+    return Rules(TERM_FIELDS, before=rule,
+                 reach=None if use_eta else REACH)
 
 
 def beta_step(t: Term, use_eta: bool = False) -> Term | None:
     """Contract the leftmost-outermost beta/delta redex, if any; with
     ``use_eta``, an eta redex counts at positions where no beta/delta
     redex applies."""
-    return _normal(t, use_eta, {})
+    return step(t, _rules(Strategy.NORMAL_ORDER, use_eta))
 
 
 def applicative_step(t: Term, use_eta: bool = False) -> Term | None:
     """Contract the leftmost-innermost beta/delta redex, if any."""
-    return _applicative(t, use_eta, {})
+    return step(t, _rules(Strategy.APPLICATIVE_ORDER, use_eta))
 
 
 def reduce(t: Term, cfg: EvalConfig | None = None,
            collect_trace: bool = False) -> Outcome:
-    """Iterate single steps under the configured strategy until no redex
-    remains or the budget runs out.  Pair literals are desugared up
-    front."""
+    """Contract redexes under the configured strategy until none remains
+    or the budget runs out.  Pair literals are desugared up front."""
     cfg = cfg or EvalConfig()
-    step = _normal if cfg.strategy is Strategy.NORMAL_ORDER \
-        else _applicative
-    return run(lambda t, memo: step(t, cfg.use_eta, memo), desugar_pairs(t),
+    return run(desugar_pairs(t), _rules(cfg.strategy, cfg.use_eta),
                cfg.max_steps, collect_trace)
 
 

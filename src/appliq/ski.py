@@ -16,7 +16,16 @@ from __future__ import annotations
 
 import enum
 
-from .reduction import Outcome, delta_step, run, trace_lines
+from .reduction import (
+    REACH,
+    TERM_FIELDS,
+    Outcome,
+    Rules,
+    delta_step,
+    run,
+    step,
+    trace_lines,
+)
 from .syntax import (
     AddCurried,
     AddPair,
@@ -105,24 +114,26 @@ def ski_compile(t: Term, mode: Mode = Mode.OPTIMIZED) -> Term:
     return go(desugar_pairs(t))
 
 
-def _rule(t: App) -> Term | None:
+def _rule(t: App, path: list) -> tuple[Term, str] | None:
     """The I/K/S rule for the application ``t``, dispatched on the types
     of the first three nodes of its spine, or the delta rule where a
     constant other than a combinator heads the spine."""
     fun = t.fun
     if type(fun) is Const:
         if type(fun.value) is not Combinator:
-            return delta_step(t)
-        return t.arg if fun is I else None
+            d = delta_step(t)
+            return (d, "delta") if d is not None else None
+        return (t.arg, "I") if fun is I else None
     if type(fun) is not App:
         return None
     head = fun.fun
     if type(head) is Const:
         if type(head.value) is not Combinator:
-            return delta_step(t)
-        return fun.arg if head is K else None
+            d = delta_step(t)
+            return (d, "delta") if d is not None else None
+        return (fun.arg, "K") if head is K else None
     if type(head) is App and head.fun is S:
-        return App(App(head.arg, t.arg), App(fun.arg, t.arg))
+        return App(App(head.arg, t.arg), App(fun.arg, t.arg)), "S"
     return None
 
 
@@ -135,35 +146,34 @@ def _ignores_binder(t: Term) -> bool:
         _ignores_binder(t.fun.arg) and _ignores_binder(t.arg)
 
 
-def _step(t: Term, memo: dict[int, Term]) -> Term | None:
-    if type(t) is not App or id(t) in memo:
-        return None
-    hit = _rule(t)
-    if hit is not None:
-        return hit
-    f = _step(t.fun, memo)
-    if f is not None:
-        return App(f, t.arg)
-    a = _step(t.arg, memo)
-    if a is not None:
-        return App(t.fun, a)
+def _pair_rule(t: App, path: list) -> tuple[Term, str] | None:
+    """``+ [l, r] -> [l, r] add`` for a compiled pair ``S (S I x) y`` whose
+    components ignore its binder; tried once ``t``'s children hold no
+    redex."""
     if type(t.fun) is Const and type(t.fun.value) is AddPair:
-        match t.arg:  # + [l, r] = [l, r] add, with [l, r] = S (S I x) y
+        match t.arg:
             case App(App(s1, App(App(s2, i), x)), y) if s1 is S and s2 is S \
                     and i is I and _ignores_binder(x) and _ignores_binder(y):
-                return App(t.arg, Const(AddCurried()))
-    memo[id(t)] = t
+                return App(t.arg, Const(AddCurried())), "pair"
     return None
+
+
+# Compiled code is searched through its applications only.
+_FIELDS = {App: TERM_FIELDS[App]}
+
+
+def _rules() -> Rules:
+    return Rules(_FIELDS, before=_rule, after=_pair_rule, reach=REACH)
 
 
 def ski_step(t: Term) -> Term | None:
     """Contract the leftmost-outermost I/K/S/delta/pair redex, if any."""
-    return _step(t, {})
+    return step(t, _rules())
 
 
 def ski_reduce(t: Term, max_steps: int = 10000,
                collect_trace: bool = False) -> Outcome:
-    return run(_step, t, max_steps, collect_trace)
+    return run(t, _rules(), max_steps, collect_trace)
 
 
 def comb_size(t: Term) -> int:

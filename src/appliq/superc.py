@@ -16,9 +16,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
-from .reduction import Outcome, delta_step, run, trace_lines
+from .reduction import (
+    REACH,
+    TERM_FIELDS,
+    Fields,
+    Outcome,
+    Rules,
+    delta_step,
+    run,
+    trace_lines,
+)
 from .syntax import (
     App,
     Const,
@@ -162,81 +172,60 @@ def _substitute_params(body: Term, bindings: dict[str, Term]) -> Term:
     raise TypeError(f"not a term: {body!r}")
 
 
-def _head_rule(t: App, defs: dict[str, ScDef]) -> Term | None:
-    """Unfold a definition applied to at least its arity, or apply a pair
-    literal, at the top of the application spine ``t``."""
-    head, n = t, 0
-    while type(head) is App:
-        head, n = head.fun, n + 1
-    if type(head) is Var:
-        sc = defs.get(head.name)
-        if sc is None or n < len(sc.params):
-            return None
-    elif type(head) is not PairLit:
-        return None
-    args: list[Term] = []
-    while type(t) is App:
-        args.append(t.arg)
-        t = t.fun
-    args.reverse()
-    if type(head) is PairLit:
-        # [l, r] f  ->  f l r
-        return apps(args[0], head.left, head.right, *args[1:])
-    arity = len(sc.params)
-    unfolded = _substitute_params(sc.body, dict(zip(sc.params, args[:arity])))
-    return apps(unfolded, *args[arity:])
+def _rule(defs: dict[str, ScDef], t: Term,
+          path: list) -> tuple[Term, str] | None:
+    """The delta rule at an application; at the head of an application
+    spine, a definition applied to at least its arity unfolds, and a
+    pair literal applied to ``f`` becomes ``f l r``.
 
-
-def _sc_step(t: Term, defs: dict[str, ScDef], memo: dict[int, Term],
-             top: bool = True) -> Term | None:
-    """Leftmost-outermost unfold/delta/pair-application step.
-
-    ``memo`` maps ``id(node)`` to the node for subtrees already found to
-    hold no redex; they are skipped and every redex-free subtree met is
-    added.  Share one memo only across the steps of one reduction with
-    one set of definitions.  ``top`` is false for the function part of
-    an application: a spine-head rule that did not fire at the top of
-    the spine cannot fire below it, where there are fewer arguments.
-    """
+    A head fires at its arity-th ancestor, reached through frames of
+    ``path`` that hold it on the function side (the G-machine's unwind:
+    Peyton Jones, *The Implementation of Functional Programming
+    Languages*, 1987, ch. 12); those frames are popped."""
     kind = type(t)
-    if kind is Var:
-        sc = defs.get(t.name)
-        if sc is not None and not sc.params and top:
-            return _substitute_params(sc.body, {})
-        return None
-    if kind is Const or id(t) in memo:
-        return None
     if kind is App:
         d = delta_step(t)
-        if d is not None:
-            return d
-        if top:
-            d = _head_rule(t, defs)
-            if d is not None:
-                return d
-        f = _sc_step(t.fun, defs, memo, False)
-        if f is not None:
-            return App(f, t.arg)
-        a = _sc_step(t.arg, defs, memo)
-        if a is not None:
-            return App(t.fun, a)
+        return (d, "delta") if d is not None else None
+    if kind is Var:
+        sc = defs.get(t.name)
+        if sc is None:
+            return None
+        arity = len(sc.params)
     elif kind is PairLit:
-        l = _sc_step(t.left, defs, memo)
-        if l is not None:
-            return PairLit(l, t.right)
-        r = _sc_step(t.right, defs, memo)
-        if r is not None:
-            return PairLit(t.left, r)
-    memo[id(t)] = t
-    return None
+        arity = 1
+    else:
+        return None
+    args: list[Term] = []
+    if arity:
+        spine = path[-arity:]
+        for parent, kids, i, _ in spine:
+            if i != 0 or type(parent) is not App:
+                return None
+        args = [kids[1] for _, kids, _, _ in reversed(spine)]
+        del path[-arity:]
+    if kind is PairLit:
+        # [l, r] f  ->  f l r
+        return apps(args[0], t.left, t.right), "pair"
+    return _substitute_params(sc.body, dict(zip(sc.params, args))), "unfold"
+
+
+# Applications and pairs are searched, and variables too, as heads of
+# spines; a main expression is lambda-free.
+_FIELDS: dict[type, Fields] = {App: TERM_FIELDS[App],
+                               PairLit: TERM_FIELDS[PairLit],
+                               Var: lambda t: []}
+
+
+def _rules(defs: dict[str, ScDef]) -> Rules:
+    return Rules(_FIELDS, before=partial(_rule, defs), reach=REACH,
+                 spine=True)
 
 
 def sc_reduce(p: ScProgram, max_steps: int = 10000,
               collect_trace: bool = False) -> Outcome:
     """Normal-order reduction of the main expression, unfolding a
     definition whenever it is applied to at least its arity."""
-    defs = {d.name: d for d in p.defs}
-    return run(lambda t, memo: _sc_step(t, defs, memo), p.main, max_steps,
+    return run(p.main, _rules({d.name: d for d in p.defs}), max_steps,
                collect_trace)
 
 

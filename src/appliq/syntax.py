@@ -242,31 +242,42 @@ def alpha_eq(a: Term, b: Term) -> bool:
     return go(a, b, {}, {}, 0)
 
 
+_NO_VARS: frozenset[str] = frozenset()
+
+
 def desugar_pairs(t: Term) -> Term:
-    """Replace every pair literal by ``\\r. r l r'`` with ``r`` fresh."""
-    return _desugar(t)[0]
+    """Replace every pair literal by ``\\r. r l r'`` with ``r`` fresh.
+    Subtrees without a pair literal are returned as they are."""
+    return _desugar(t, False)[0]
 
 
-def _desugar(t: Term) -> tuple[Term, frozenset[str]]:
-    """:func:`desugar_pairs` of ``t`` together with ``free_vars(t)``,
-    which desugaring leaves unchanged."""
+def _desugar(t: Term, want_fv: bool) -> tuple[Term, frozenset[str] | None]:
+    """:func:`desugar_pairs` of ``t``, with ``free_vars(t)`` (which
+    desugaring leaves unchanged) when ``want_fv``, else None.  Only the
+    components of a pair literal need their free variables, to pick a
+    fresh ``r``."""
     kind = type(t)
     if kind is Var:
-        return t, frozenset((t.name,))
+        return t, frozenset((t.name,)) if want_fv else None
     if kind is Const:
-        return t, frozenset()
+        return t, _NO_VARS if want_fv else None
     if kind is Lam:
-        body, fv = _desugar(t.body)
-        return Lam(t.binder, body), fv - {t.binder}
+        body, fv = _desugar(t.body, want_fv)
+        if body is not t.body:
+            t = Lam(t.binder, body)
+        return t, fv - {t.binder} if want_fv else None
     if kind is App:
-        (fun, fv_fun), (arg, fv_arg) = _desugar(t.fun), _desugar(t.arg)
-        return App(fun, arg), fv_fun | fv_arg
+        (fun, fv_fun), (arg, fv_arg) = \
+            _desugar(t.fun, want_fv), _desugar(t.arg, want_fv)
+        if fun is not t.fun or arg is not t.arg:
+            t = App(fun, arg)
+        return t, fv_fun | fv_arg if want_fv else None
     if kind is PairLit:
         (left, fv_left), (right, fv_right) = \
-            _desugar(t.left), _desugar(t.right)
+            _desugar(t.left, True), _desugar(t.right, True)
         fv = fv_left | fv_right
         r = fresh_var(fv, "r")
-        return Lam(r, App(App(Var(r), left), right)), fv
+        return Lam(r, App(App(Var(r), left), right)), fv if want_fv else None
     raise TypeError(f"not a term: {t!r}")
 
 

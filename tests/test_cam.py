@@ -1,6 +1,8 @@
 import random
 from pathlib import Path
 
+import pytest
+
 from appliq.cam import (
     EPS,
     FST,
@@ -129,6 +131,25 @@ def test_eval_lambda_via_eps():
         state = nxt
         seen.append(state)
     assert seen == [Ap(Bang(0), PairV(UNIT, IntV(5))), IntV(5)]
+
+
+@pytest.mark.parametrize("primitive_only, closure", [
+    (False, "L($[$[L(fix o Snd), 1!], 0!])"),
+    (True, "L(eps o <eps o <L(fix o Snd), Snd o Fst>, Snd>)")])
+def test_eval_fix_unfolds_by_value(primitive_only, closure):
+    code = _compile_source(r"fix (\f x. add x 1) 3")
+    if primitive_only:
+        code = expand_abbreviations(code)
+    out = cam_eval_closure(code, collect_trace=True,
+                           primitive_only=primitive_only)
+    assert out.result == IntV(4)
+    rules = [rule for rule, _ in out.trace[1:]]
+    assert rules.count("fix") == 1
+    # fix g -> g applied to the closure of \x. fix g x over [(), g]
+    _, state = out.trace[rules.index("fix") + 1]
+    g = print_cat(state.arg.left.arg.left)
+    assert print_cat(state.arg.left) == \
+        f"eps [{g}, {closure} [(), {g}]]"
 
 
 def test_eval_budget():

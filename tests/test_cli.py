@@ -198,6 +198,33 @@ def test_no_integer_results_is_no_agreement(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["agreement"] is None
 
 
+@pytest.mark.parametrize("source, value", [
+    (r"fix (\f x. x) 3", 3), (r"fix (\f x. add x 1) 3", 4)])
+def test_fix_agrees_on_every_backend(source, value, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    assert cli.main(["--backend", "all", "--json"]) == cli.EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert [b["result"] for b in report["backends"]] == [str(value)] * 4
+    assert report["agreement"] is True
+
+
+@pytest.mark.parametrize("source", [
+    r"(\x. x x x) (\x. x x x)", "fix 9223372036854775807 sub sub"])
+def test_growing_terms_exhaust_the_default_budget(source, monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    assert cli.main(["--backend", "all", "--json"]) == cli.EXIT_EVAL
+    report = json.loads(capsys.readouterr().out)
+    status = {b["name"]: (b["status"], b["steps"])
+              for b in report["backends"]}
+    if source.startswith("fix"):
+        # cam unfolds fix by value: fix N -> N (\x. fix N x), an integer
+        # applied to a closure, which is stuck
+        assert status.pop("cam") == ("normal_form", 11)
+    assert status == dict.fromkeys(status, ("budget_exhausted", 10000))
+    assert report["agreement"] is None
+
+
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_agreement(path, capsys):
     assert cli.main([str(path), "--backend", "all"]) == cli.EXIT_OK

@@ -1,10 +1,12 @@
 """Step sequences of the four reducers.
 
-Each reduce call keeps a memo of the subtrees it has found to hold no
-redex and skips them on later steps.  These tests pin the step counts of
-the benchmark's term families and check, in every mode, that a
-``*_reduce`` trace is exactly the sequence the single-step functions
-produce with no memo carried between steps.
+Each reduce call searches for redexes with the spine-stack driver,
+which resumes every search where the last contraction happened and
+skips subtrees it has found to hold no redex.  These tests pin the step
+counts of the benchmark's term families and check, in every mode, that
+a ``*_reduce`` trace is exactly the sequence the recursive searches of
+``recursive_search`` produce from the root, with no memo carried between
+steps.
 """
 
 import random
@@ -17,25 +19,25 @@ from hypothesis import strategies as st
 from appliq.cam import (
     UNIT,
     Ap,
-    _step as cam_rule_step,
     cam_compile,
     cam_eval_closure,
-    cam_step,
     expand_abbreviations,
     unfold_constant_quotes,
 )
 from appliq.debruijn import encode
-from appliq.reduction import (
-    EvalConfig,
-    Strategy,
-    applicative_step,
-    beta_step,
-    reduce,
-)
-from appliq.ski import Mode, ski_compile, ski_reduce, ski_step
-from appliq.superc import _sc_step, lift, sc_reduce
+from appliq.reduction import EvalConfig, Strategy, reduce
+from appliq.ski import Mode, ski_compile, ski_reduce
+from appliq.superc import lift, sc_reduce
 from appliq.syntax import Term, desugar_pairs, parse
 from genterms import gen_int_term
+from recursive_search import (
+    applicative_step,
+    beta_step,
+    cam_rule_step,
+    cam_step,
+    sc_step as _sc_step,
+    ski_step,
+)
 
 CORPUS = sorted((Path(__file__).parent.parent / "corpus").glob("*.lam"))
 BUDGET = 10000
@@ -67,11 +69,11 @@ def test_pinned_step_counts(source, expected):
     assert _steps(parse(source)) == expected
 
 
-def _iterate(step, start) -> list:
+def _iterate(step, start, budget: int = BUDGET) -> list:
     """``start`` followed by every state ``step`` reaches, up to the
     budget."""
     states = [start]
-    while len(states) <= BUDGET:
+    while len(states) <= budget:
         nxt = step(states[-1])
         if nxt is None:
             break
@@ -79,10 +81,10 @@ def _iterate(step, start) -> list:
     return states
 
 
-def _cam_iterate(code, primitive_only: bool) -> list:
-    """The (rule, code) sequence of single ``cam._step`` calls."""
+def _cam_iterate(code, primitive_only: bool, budget: int = BUDGET) -> list:
+    """The (rule, code) sequence of single ``cam_rule_step`` calls."""
     trace = [(None, code)]
-    while len(trace) <= BUDGET:
+    while len(trace) <= budget:
         hit = cam_rule_step(trace[-1][1], primitive_only, {})
         if hit is None:
             break
@@ -90,38 +92,38 @@ def _cam_iterate(code, primitive_only: bool) -> list:
     return trace
 
 
-def _check_all_modes(t: Term) -> None:
+def _check_all_modes(t: Term, budget: int = BUDGET) -> None:
     d = desugar_pairs(t)
     for strategy, use_eta, step in (
             (Strategy.NORMAL_ORDER, False, beta_step),
             (Strategy.APPLICATIVE_ORDER, False, applicative_step),
             (Strategy.NORMAL_ORDER, True, beta_step)):
-        out = reduce(t, EvalConfig(max_steps=BUDGET, use_eta=use_eta,
+        out = reduce(t, EvalConfig(max_steps=budget, use_eta=use_eta,
                                    strategy=strategy), collect_trace=True)
-        assert list(out.trace) == \
-            _iterate(lambda s: step(s, use_eta), d), (strategy, use_eta)
+        assert list(out.trace) == _iterate(lambda s: step(s, use_eta), d,
+                                           budget), (strategy, use_eta)
 
     for mode in Mode:
         code = ski_compile(t, mode)
-        out = ski_reduce(code, BUDGET, collect_trace=True)
-        assert list(out.trace) == _iterate(ski_step, code), mode
+        out = ski_reduce(code, budget, collect_trace=True)
+        assert list(out.trace) == _iterate(ski_step, code, budget), mode
 
     code = cam_compile(encode(t))
-    out = cam_eval_closure(code, BUDGET, collect_trace=True)
+    out = cam_eval_closure(code, budget, collect_trace=True)
     start = Ap(unfold_constant_quotes(code), UNIT)
-    assert list(out.trace) == _cam_iterate(start, False)
-    assert [c for _, c in out.trace] == _iterate(cam_step, start)
+    assert list(out.trace) == _cam_iterate(start, False, budget)
+    assert [c for _, c in out.trace] == _iterate(cam_step, start, budget)
 
     expanded = expand_abbreviations(code)
-    out = cam_eval_closure(expanded, BUDGET, collect_trace=True,
+    out = cam_eval_closure(expanded, budget, collect_trace=True,
                            primitive_only=True)
-    assert list(out.trace) == _cam_iterate(Ap(expanded, UNIT), True)
+    assert list(out.trace) == _cam_iterate(Ap(expanded, UNIT), True, budget)
 
     prog = lift(t)
     defs = {d.name: d for d in prog.defs}
-    out = sc_reduce(prog, BUDGET, collect_trace=True)
+    out = sc_reduce(prog, budget, collect_trace=True)
     assert list(out.trace) == _iterate(lambda s: _sc_step(s, defs, {}),
-                                       prog.main)
+                                       prog.main, budget)
 
 
 @settings(max_examples=60, deadline=None)
@@ -138,3 +140,22 @@ def test_traces_match_single_steps_on_corpus(path):
 def test_traces_match_single_steps_on_scaling_families():
     _check_all_modes(parse(_church(6)))
     _check_all_modes(parse(_sharing(3)))
+
+
+@pytest.mark.parametrize("source", [
+    _church(100), _church(200), r"(\x. x x x) (\x. x x x)",
+    "fix 9223372036854775807 sub sub",
+], ids=["church100", "church200", "triple", "fix"])
+def test_traces_match_single_steps_on_deep_and_growing_terms(source):
+    _check_all_modes(parse(source), budget=500)
+
+
+@pytest.mark.parametrize("source", [
+    # sc: the partial application q 7 is found stuck as an argument of p,
+    # then applied to two more arguments through a shared copy
+    r"(\p q. (\x. p x (x 1 2)) (q 7)) (\a b c. a) (\a b c. add a (add b c))",
+    # eta at \x is enabled by a beta step seven levels below it
+    r"\a b c d e. \x. a (b (c (d (e ((\y. 1) x))))) x",
+], ids=["shared-partial-application", "far-eta"])
+def test_traces_match_single_steps_where_a_rule_reaches_far(source):
+    _check_all_modes(parse(source))
