@@ -85,10 +85,10 @@ TERM_FIELDS: dict[type, Fields] = {
     PairLit: lambda t: [t.left, t.right],
 }
 
-# How many ancestors of a contracted node an outermost strategy checks
-# again: the deepest rule pattern, delta's naive compiled pair
-# ``+ (S (S I (K m)) (S (K I) (K n)))``, reaches five levels below the
-# application it fires at.
+# How far above a contracted node an outermost strategy looks for an
+# ancestor to check again: the deepest rule pattern, delta's naive
+# compiled pair ``+ (S (S I (K m)) (S (K I) (K n)))``, reaches five
+# levels below the application it fires at.
 REACH = 5
 
 
@@ -99,9 +99,18 @@ class Rules(NamedTuple):
     strategies), ``after`` once its children hold no redex (innermost
     strategies, and ski's pair rule).  ``fields`` lists the node classes
     that are searched; nodes of other classes are skipped.  After a
-    contraction, ``before`` is tried again at the ``reach`` nearest
-    ancestors of the contractum, or at all of them when ``reach`` is
-    None, outermost first; then the search resumes at the contractum.
+    contraction, ``before`` is tried again, outermost first, at the
+    ancestors of the contractum up to the outermost one, at most
+    ``reach`` levels up, whose application rule can read it, or at all
+    of them when ``reach`` is None; then the search resumes at the
+    contractum.  Writing ``j`` for the distance up to an ancestor, a
+    rule can read the contractum when ``j = 1`` and the parent is an
+    application (beta, ``fix``, an operand), when ``j <= 3`` and the path
+    down takes only function children (the I, K and S spines, a curried
+    operator), when ``j = 2`` and the path goes function child, then
+    argument (a curried operator's first operand), and when the path
+    leaves an application of the ``+`` constant through its argument (a
+    pair pattern, plain or compiled).
     With ``spine`` the function child of an ``App`` is searched
     even when it is known to hold no redex on its own, because a rule at
     the head of an application spine counts the arguments above it."""
@@ -189,8 +198,9 @@ class Search:
 
     def contract(self, hit: tuple[Any, str]) -> None:
         """Put the contractum of the redex ``find`` returned in its place,
-        to be searched next, and rebuild the ancestors whose ``before``
-        rule it may enable, for ``find`` to try first."""
+        to be searched next, and rebuild the ancestors up to the outermost
+        one whose ``before`` rule it may enable, for ``find`` to try
+        first; the others are rebuilt when the search leaves them."""
         path, reach = self.path, self.rules.reach
         frame = path[-1]
         i = frame[2]
@@ -198,8 +208,27 @@ class Search:
         frame[2] = i - 1
         frame[3] = True
         levels = len(path) - 1
-        if reach is not None and reach < levels:
-            levels = reach
+        if reach is not None:
+            # the outermost ancestor within ``reach`` whose rule can read
+            # the contractum; an ancestor's frame index is the child the
+            # path leaves it through, 0 for the function and 1 for the
+            # argument, and the parent's is ``i``
+            top = reach if reach < levels else levels
+            levels = 0
+            for j in range(top, 1, -1):  # an argument of ``+``
+                kids = path[-j][1]
+                if path[-j][2] == 1 and type(kids[0]) is Const and \
+                        type(kids[0].value) is AddPair:
+                    levels = j
+                    break
+            else:
+                if top >= 3 and i == 0 and path[-2][2] == 0 and \
+                        path[-3][2] == 0:
+                    levels = 3  # the head of an S spine
+                elif top >= 2 and path[-2][2] == 0:
+                    levels = 2  # a K spine or a curried operator's operand
+                elif top >= 1 and type(frame[0]) is App:
+                    levels = 1
         for j in range(1, levels + 1):
             frame = path[-j]
             node = type(frame[0])(*frame[1])

@@ -6,7 +6,11 @@ form is an integer literal, so every backend must terminate and agree on
 them.  ``gen_closed_lambda`` builds pure closed lambda terms for
 round-trip and alpha-equivalence properties, and ``gen_small_term``
 builds possibly-open terms over a tiny name pool to provoke capture in
-substitution.
+substitution.  ``gen_fix_term`` builds ``fix (\\f. T)`` with a ``T``
+that ignores ``f``, which every backend reduces to ``T``'s integer
+(applicative-order beta alone unfolds ``fix`` forever).
+``church_source`` and ``sharing_source`` are the benchmark's two
+scaling families.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from appliq.syntax import (
     AddPair,
     App,
     Const,
+    FixConst,
     Lam,
     PairLit,
     SubCurried,
@@ -83,6 +88,34 @@ def gen_int_term(rng: random.Random, depth: int,
             return apps(Lam("g", App(Var("g"), sub())),
                         Lam(x, inner))
     raise AssertionError
+
+
+def gen_fix_term(rng: random.Random, depth: int) -> Term:
+    """``fix (\\f. T)`` for a ``gen_int_term`` ``T`` in which ``f`` does
+    not occur or is passed only to an abstraction that discards it,
+    sometimes as an operand of a larger integer term."""
+    body = gen_int_term(rng, depth)
+    if rng.random() < 0.5:
+        body = App(Lam("z", gen_int_term(rng, depth - 1)), Var("f"))
+    t = App(Const(FixConst()), Lam("f", body))
+    if rng.random() < 0.5:
+        op = Const(rng.choice([AddCurried(), SubCurried()]))
+        other = gen_int_term(rng, depth - 1)
+        t = apps(op, t, other) if rng.random() < 0.5 else apps(op, other, t)
+    return t
+
+
+def church_source(k: int) -> str:
+    """``2 k + 3``, computed by the Church numeral ``k``."""
+    return r"(\n. n (add 2) 3) (\f x. " + "f (" * k + "x" + ")" * k + ")"
+
+
+def sharing_source(depth: int, leaf: int = 5) -> str:
+    """``leaf * 2 ** depth`` by ``depth`` nested applications of a
+    doubling function that uses its argument twice, so normal order
+    duplicates the work."""
+    return r"(\d. " + "d (" * depth + str(leaf) + ")" * depth + \
+        r") (\x. add x x)"
 
 
 def gen_closed_lambda(rng: random.Random, depth: int,

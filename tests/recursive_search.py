@@ -7,7 +7,8 @@ strategy, rebuilding the path on the way back.  ``memo`` maps
 below start each call with an empty one, so every step is found from
 scratch.  The rules themselves (``delta_step``, ``subst``,
 ``_eta_redex``, ``_ignores_binder``, cam's ``_rule``, sc's
-``_substitute_params``) are the library's.
+``_substitute_params``) are the library's.  ``assert_same_states``
+compares a reducer's trace with a sequence of single steps.
 """
 
 from __future__ import annotations
@@ -273,3 +274,21 @@ def sc_step(t: Term, defs: dict[str, ScDef], memo: dict[int, Term],
             return PairLit(t.left, r)
     memo[id(t)] = t
     return None
+
+
+# ---------------------------------------------------------------------------
+# comparing state sequences
+
+def assert_same_states(label: str, got, want) -> None:
+    """Fail, naming ``label`` and the first index at which the state
+    sequences ``got`` and ``want`` differ, unless they are equal.  The
+    states are not printed: pytest's diff of two long sequences of deep
+    terms can take minutes."""
+    __tracebackhide__ = True  # nor are they shown as this frame's arguments
+    got, want = list(got), list(want)
+    if got == want:
+        return
+    first = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+    raise AssertionError(f"{label}: the states differ first at index "
+                         f"{first} (lengths {len(got)} and {len(want)})")

@@ -1,10 +1,15 @@
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from appliq import cli
+from appliq.cam import cam_compile, cam_eval_closure, expand_abbreviations
+from appliq.debruijn import encode
+from appliq.syntax import print_term
+from genterms import gen_fix_term
 
 CORPUS = sorted((Path(__file__).parent.parent / "corpus").glob("*.lam"))
 F_SOURCE = r"(\x. x [4, (\x. x) 3]) +"
@@ -206,6 +211,28 @@ def test_fix_agrees_on_every_backend(source, value, monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert [b["result"] for b in report["backends"]] == [str(value)] * 4
     assert report["agreement"] is True
+
+
+@pytest.mark.parametrize("mode", ["naive", "optimized"])
+def test_generated_fix_terms_agree_on_every_backend(mode, monkeypatch,
+                                                    capsys):
+    # fix (\f. T) with T ignoring f; primitive-only cam, which the CLI
+    # does not expose, must reach the same integer
+    rng = random.Random(f"fix-{mode}")
+    for _ in range(25):
+        t = gen_fix_term(rng, rng.randint(1, 3))
+        monkeypatch.setattr("sys.stdin", io.StringIO(print_term(t)))
+        assert cli.main(["--backend", "all", "--ski-mode", mode,
+                         "--json"]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["agreement"] is True, print_term(t)
+        results = {(b["result"], b["status"]) for b in report["backends"]}
+        assert len(results) == 1, print_term(t)
+        result, status = results.pop()
+        assert status == "normal_form", print_term(t)
+        out = cam_eval_closure(expand_abbreviations(cam_compile(encode(t))),
+                               primitive_only=True)
+        assert str(cli._result_int(out.result)) == result
 
 
 @pytest.mark.parametrize("source", [

@@ -6,7 +6,8 @@ skips subtrees it has found to hold no redex.  These tests pin the step
 counts of the benchmark's term families and check, in every mode, that
 a ``*_reduce`` trace is exactly the sequence the recursive searches of
 ``recursive_search`` produce from the root, with no memo carried between
-steps.
+steps.  A mismatch is reported as the mode and the index of the first
+differing state.
 """
 
 import random
@@ -29,9 +30,10 @@ from appliq.reduction import EvalConfig, Strategy, reduce
 from appliq.ski import Mode, ski_compile, ski_reduce
 from appliq.superc import lift, sc_reduce
 from appliq.syntax import Term, desugar_pairs, parse
-from genterms import gen_int_term
+from genterms import church_source, gen_fix_term, gen_int_term, sharing_source
 from recursive_search import (
     applicative_step,
+    assert_same_states,
     beta_step,
     cam_rule_step,
     cam_step,
@@ -43,14 +45,6 @@ CORPUS = sorted((Path(__file__).parent.parent / "corpus").glob("*.lam"))
 BUDGET = 10000
 
 
-def _church(k: int) -> str:
-    return r"(\n. n (add 2) 3) (\f x. " + "f (" * k + "x" + ")" * k + ")"
-
-
-def _sharing(depth: int) -> str:
-    return r"(\d. " + "d (" * depth + "5" + ")" * depth + r") (\x. add x x)"
-
-
 def _steps(t: Term) -> tuple[int, int, int, int]:
     """Steps used by beta, ski, cam and sc, compiled as the CLI does."""
     return (reduce(t, EvalConfig(max_steps=BUDGET)).steps_used,
@@ -60,10 +54,10 @@ def _steps(t: Term) -> tuple[int, int, int, int]:
 
 
 @pytest.mark.parametrize("source, expected", [
-    (_church(6), (9, 66, 44, 8)),
-    (_church(36), (39, 366, 194, 38)),
-    (_sharing(3), (15, 64, 39, 15)),
-    (_sharing(8), (511, 2296, 99, 511)),
+    (church_source(6), (9, 66, 44, 8)),
+    (church_source(36), (39, 366, 194, 38)),
+    (sharing_source(3), (15, 64, 39, 15)),
+    (sharing_source(8), (511, 2296, 99, 511)),
 ], ids=["church6", "church36", "sharing3", "sharing8"])
 def test_pinned_step_counts(source, expected):
     assert _steps(parse(source)) == expected
@@ -100,30 +94,35 @@ def _check_all_modes(t: Term, budget: int = BUDGET) -> None:
             (Strategy.NORMAL_ORDER, True, beta_step)):
         out = reduce(t, EvalConfig(max_steps=budget, use_eta=use_eta,
                                    strategy=strategy), collect_trace=True)
-        assert list(out.trace) == _iterate(lambda s: step(s, use_eta), d,
-                                           budget), (strategy, use_eta)
+        assert_same_states(f"beta {strategy.value} eta={use_eta}",
+                           out.trace,
+                           _iterate(lambda s: step(s, use_eta), d, budget))
 
     for mode in Mode:
         code = ski_compile(t, mode)
         out = ski_reduce(code, budget, collect_trace=True)
-        assert list(out.trace) == _iterate(ski_step, code, budget), mode
+        assert_same_states(f"ski {mode.value}", out.trace,
+                           _iterate(ski_step, code, budget))
 
     code = cam_compile(encode(t))
     out = cam_eval_closure(code, budget, collect_trace=True)
     start = Ap(unfold_constant_quotes(code), UNIT)
-    assert list(out.trace) == _cam_iterate(start, False, budget)
-    assert [c for _, c in out.trace] == _iterate(cam_step, start, budget)
+    assert_same_states("cam", out.trace, _cam_iterate(start, False, budget))
+    assert_same_states("cam code", [c for _, c in out.trace],
+                       _iterate(cam_step, start, budget))
 
     expanded = expand_abbreviations(code)
     out = cam_eval_closure(expanded, budget, collect_trace=True,
                            primitive_only=True)
-    assert list(out.trace) == _cam_iterate(Ap(expanded, UNIT), True, budget)
+    assert_same_states("cam primitive", out.trace,
+                       _cam_iterate(Ap(expanded, UNIT), True, budget))
 
     prog = lift(t)
     defs = {d.name: d for d in prog.defs}
     out = sc_reduce(prog, budget, collect_trace=True)
-    assert list(out.trace) == _iterate(lambda s: _sc_step(s, defs, {}),
-                                       prog.main, budget)
+    assert_same_states("sc", out.trace,
+                       _iterate(lambda s: _sc_step(s, defs, {}), prog.main,
+                                budget))
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,18 +131,26 @@ def test_traces_match_single_steps_on_generated_terms(seed, depth):
     _check_all_modes(gen_int_term(random.Random(seed), depth))
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_traces_match_single_steps_on_fix_terms(seed, depth):
+    # applicative order unfolds fix forever: its trace is compared up to
+    # the budget
+    _check_all_modes(gen_fix_term(random.Random(seed), depth), budget=300)
+
+
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_traces_match_single_steps_on_corpus(path):
     _check_all_modes(parse(path.read_text()))
 
 
 def test_traces_match_single_steps_on_scaling_families():
-    _check_all_modes(parse(_church(6)))
-    _check_all_modes(parse(_sharing(3)))
+    _check_all_modes(parse(church_source(6)))
+    _check_all_modes(parse(sharing_source(3)))
 
 
 @pytest.mark.parametrize("source", [
-    _church(100), _church(200), r"(\x. x x x) (\x. x x x)",
+    church_source(100), church_source(200), r"(\x. x x x) (\x. x x x)",
     "fix 9223372036854775807 sub sub",
 ], ids=["church100", "church200", "triple", "fix"])
 def test_traces_match_single_steps_on_deep_and_growing_terms(source):
