@@ -17,16 +17,20 @@ leftmost-innermost strategy using
     (ac)     eps [L(x) y, z] ->  x [y,z]
     (pair)   [x,y] z         ->  z x y    (pairing combinator applied)
     (eps)    eps [f, z]      ->  f z      (f not a L(.)-closure)
-    (delta)  arithmetic on integer values
+    (delta)  arithmetic on integers, by reduction.delta_step
     (fix)    fix g           ->  eps [g, L($[$['fix, 1!], 0!]) [(), g]]
 
 The fix rule is the call-by-value fixpoint ``fix g -> g (\\x. fix g x)``:
 the unfolded ``fix g`` waits inside a closure until it is applied, so the
 innermost strategy does not unfold it forever.
 
-Environments are pair-value spines terminating in (); quoted
-non-integer constants are unfolded to L(c o Snd) before evaluation so
-they survive being stored in an environment and applied later.
+Values and juxtaposition are object-language terms: ``x y`` is an
+``App``, a pair value ``[x,y]`` a ``PairLit`` and a quoted constant a
+``Const``, so cam shares its arithmetic with the other backends; only
+the combinators above are cam's own.  Environments are pair spines
+terminating in (); quoted non-integer constants are unfolded to
+L(c o Snd) before evaluation so they survive being stored in an
+environment and applied later.
 """
 
 from __future__ import annotations
@@ -34,27 +38,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .debruijn import DApp, DConst, DLam, DPair, DTerm, Index
-from .reduction import Fields, Outcome, Rules, arith, run, step
+from .reduction import (
+    TERM_FIELDS,
+    Fields,
+    Outcome,
+    Rules,
+    delta_step,
+    run,
+    step,
+)
 from .syntax import (
-    AddCurried,
-    AddPair,
-    ConstVal,
+    App,
+    Const,
     FixConst,
     IntLit,
-    SubCurried,
+    PairLit,
+    Term,
     const_name,
+    intlit,
 )
 
 
 class CatCode:
-    """Base class for categorical code and values."""
-
-
-@dataclass(frozen=True)
-class Ap(CatCode):
-    """Application by juxtaposition; appears during evaluation only."""
-    fun: CatCode
-    arg: CatCode
+    """Base class for cam's own combinators.  Values and juxtaposition
+    are object-language terms: a state is built from these and from
+    ``App``, ``PairLit`` and ``Const``."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,7 @@ class LamC(CatCode):
 
 @dataclass(frozen=True)
 class QuoteC(CatCode):
-    val: CatCode
+    val: CatCode | Term
 
 
 @dataclass(frozen=True)
@@ -80,12 +88,6 @@ class Bang(CatCode):
 
 @dataclass(frozen=True)
 class Couple(CatCode):
-    left: CatCode
-    right: CatCode
-
-
-@dataclass(frozen=True)
-class PairV(CatCode):
     left: CatCode
     right: CatCode
 
@@ -102,7 +104,7 @@ class SndC(CatCode):
 
 @dataclass(frozen=True)
 class Comp(CatCode):
-    left: CatCode
+    left: CatCode | Term
     right: CatCode
 
 
@@ -116,15 +118,8 @@ class UnitV(CatCode):
     pass
 
 
-@dataclass(frozen=True)
-class KConst(CatCode):
-    value: ConstVal
-
-
-@dataclass(frozen=True)
-class IntV(CatCode):
-    n: int
-
+# Integer values are ``Const(IntLit(n))``; the name stays for callers.
+IntV = intlit
 
 UNIT = UnitV()
 EPS = Eps()
@@ -137,10 +132,8 @@ def cam_compile(d: DTerm) -> CatCode:
     match d:
         case Index(n):
             return Bang(n)
-        case DConst(IntLit(n)):
-            return QuoteC(IntV(n))
         case DConst(c):
-            return QuoteC(KConst(c))
+            return QuoteC(Const(c))
         case DApp(fun, arg):
             return AppC(cam_compile(fun), cam_compile(arg))
         case DLam(body):
@@ -150,10 +143,10 @@ def cam_compile(d: DTerm) -> CatCode:
     raise TypeError(f"not a de Bruijn term: {d!r}")
 
 
-def _map_children(c: CatCode, f) -> CatCode:
+def _map_children(c: CatCode | Term, f) -> CatCode | Term:
     match c:
-        case Ap(x, y):
-            return Ap(f(x), f(y))
+        case App(x, y):
+            return App(f(x), f(y))
         case AppC(x, y):
             return AppC(f(x), f(y))
         case LamC(x):
@@ -162,18 +155,18 @@ def _map_children(c: CatCode, f) -> CatCode:
             return QuoteC(f(x))
         case Couple(x, y):
             return Couple(f(x), f(y))
-        case PairV(x, y):
-            return PairV(f(x), f(y))
+        case PairLit(x, y):
+            return PairLit(f(x), f(y))
         case Comp(x, y):
             return Comp(f(x), f(y))
     return c
 
 
-def unfold_constant_quotes(c: CatCode) -> CatCode:
+def unfold_constant_quotes(c: CatCode | Term) -> CatCode | Term:
     """Rewrite 'c into L(c o Snd) for non-integer constants.  Quoted
     integers are data and keep the quote rule."""
     match c:
-        case QuoteC(KConst() as k):
+        case QuoteC(Const(v) as k) if type(v) is not IntLit:
             return LamC(Comp(k, SND))
     return _map_children(c, unfold_constant_quotes)
 
@@ -199,39 +192,40 @@ def expand_abbreviations(c: CatCode) -> CatCode:
 
 # The code of ``\\x. fix g x`` under the environment ``[(), g]``, with the
 # quoted ``fix`` unfolded; ``fix g`` applies ``g`` to its closure.
-_FIX_BODY = AppC(AppC(LamC(Comp(KConst(FixConst()), SND)), Bang(1)), Bang(0))
+_FIX_BODY = AppC(AppC(LamC(Comp(Const(FixConst()), SND)), Bang(1)), Bang(0))
 _FIX_BODY_PRIMITIVE = expand_abbreviations(_FIX_BODY)
 
 
-def _rule(c: CatCode, primitive_only: bool) -> tuple[CatCode, str] | None:
+def _rule(c: CatCode | Term,
+          primitive_only: bool) -> tuple[CatCode | Term, str] | None:
     """The rewrite rule for ``c``, if any; every rule has a
     juxtaposition at its root.  Rules are picked by the type of the
     applied code, so a juxtaposition no rule fits costs a few type
-    checks."""
-    if type(c) is not Ap:
+    checks.  Arithmetic is :func:`delta_step`'s; ``fix`` is cam's own
+    by-value rule, tried first."""
+    if type(c) is not App:
         return None
     f, z = c.fun, c.arg
     kind = type(f)
     if kind is Comp:
-        return Ap(f.left, Ap(f.right, z)), "ass"
+        return App(f.left, App(f.right, z)), "ass"
     if kind is Couple:
-        return PairV(Ap(f.left, z), Ap(f.right, z)), "dpair"
-    if kind is PairV:
+        return PairLit(App(f.left, z), App(f.right, z)), "dpair"
+    if kind is PairLit:
         # defining equation of the pairing combinator: [x,y] z = z x y
-        return Ap(Ap(z, f.left), f.right), "pair"
-    if kind is Ap:
-        head = type(f.fun)
-        if head is LamC and not primitive_only:
-            return Ap(f.fun.body, PairV(f.arg, z)), "lam"
-        if head is KConst and type(f.arg) is IntV and type(z) is IntV:
-            op = f.fun.value
-            if type(op) is AddCurried or type(op) is SubCurried:
-                return IntV(arith(const_name(op), f.arg.n, z.n)), "delta"
-        return None
+        return App(App(z, f.left), f.right), "pair"
+    if kind is Const and type(f.value) is FixConst:
+        body = _FIX_BODY_PRIMITIVE if primitive_only else _FIX_BODY
+        return App(EPS, PairLit(z, App(LamC(body), PairLit(UNIT, z)))), "fix"
+    if kind is Const or kind is App and type(f.fun) is Const:
+        d = delta_step(c)
+        return (d, "delta") if d is not None else None
+    if kind is App and type(f.fun) is LamC and not primitive_only:
+        return App(f.fun.body, PairLit(f.arg, z)), "lam"
     if kind is AppC:
         if primitive_only:
             return None
-        return Ap(EPS, PairV(Ap(f.left, z), Ap(f.right, z))), "app"
+        return App(EPS, PairLit(App(f.left, z), App(f.right, z))), "app"
     if kind is QuoteC:
         return (f.val, "quote") if not primitive_only else None
     if kind is LamC:
@@ -241,16 +235,13 @@ def _rule(c: CatCode, primitive_only: bool) -> tuple[CatCode, str] | None:
                 type(body.right) is SndC:
             return body.left, "quote"
         return None
-    if kind is KConst and type(f.value) is FixConst:
-        body = _FIX_BODY_PRIMITIVE if primitive_only else _FIX_BODY
-        return Ap(EPS, PairV(z, Ap(LamC(body), PairV(UNIT, z)))), "fix"
-    if type(z) is not PairV:
+    if type(z) is not PairLit:
         return None
     if kind is Eps:
         x = z.left
-        if type(x) is Ap and type(x.fun) is LamC:
-            return Ap(x.fun.body, PairV(x.arg, z.right)), "ac"
-        return Ap(x, z.right), "eps"
+        if type(x) is App and type(x.fun) is LamC:
+            return App(x.fun.body, PairLit(x.arg, z.right)), "ac"
+        return App(x, z.right), "eps"
     if kind is FstC:
         return z.left, "fst"
     if kind is SndC:
@@ -259,19 +250,15 @@ def _rule(c: CatCode, primitive_only: bool) -> tuple[CatCode, str] | None:
         if f.n == 0:
             return z.right, "bang"
         if f.n > 0:
-            return Ap(Bang(f.n - 1), z.left), "bang"
-        return None
-    if kind is KConst and type(f.value) is AddPair and \
-            type(z.left) is IntV and type(z.right) is IntV:
-        return IntV(arith("+", z.left.n, z.right.n)), "delta"
+            return App(Bang(f.n - 1), z.left), "bang"
     return None
 
 
 _FIELDS: dict[type, Fields] = {
-    Ap: lambda c: [c.fun, c.arg],
+    App: TERM_FIELDS[App],
+    PairLit: TERM_FIELDS[PairLit],
     AppC: lambda c: [c.left, c.right],
     Couple: lambda c: [c.left, c.right],
-    PairV: lambda c: [c.left, c.right],
     Comp: lambda c: [c.left, c.right],
     LamC: lambda c: [c.body],
     QuoteC: lambda c: [c.val],
@@ -285,7 +272,7 @@ def _rules(primitive_only: bool) -> Rules:
     return Rules(_FIELDS, after=lambda c, path: _rule(c, primitive_only))
 
 
-def cam_step(c: CatCode) -> CatCode | None:
+def cam_step(c: CatCode | Term) -> CatCode | Term | None:
     """One leftmost-innermost rewrite, or ``None`` at normal form."""
     return step(c, _rules(False))
 
@@ -300,31 +287,32 @@ def cam_eval_closure(compiled: CatCode, max_steps: int = 10000,
     each state with the rule that produced it (None for the first)."""
     if not primitive_only:
         compiled = unfold_constant_quotes(compiled)
-    return run(Ap(compiled, UNIT), _rules(primitive_only), max_steps,
+    return run(App(compiled, UNIT), _rules(primitive_only), max_steps,
                collect_trace, named=True)
 
 
-def print_cat(c: CatCode, expand_quotes: bool = False) -> str:
+def print_cat(c: CatCode | Term, expand_quotes: bool = False) -> str:
     """ASCII rendering: ``$[x,y]``, ``L(x)``, ``'x``, ``n!``, ``<x,y>``,
     ``[x,y]``, ``x o y``, ``eps``, ``()``.  With ``expand_quotes``,
     quoted non-integer constants print as ``L(c o Snd)``."""
 
-    def atom(c: CatCode) -> str:
+    def atom(c: CatCode | Term) -> str:
         # operands of juxtaposition and composition that need wrapping
-        if isinstance(c, (Comp, Ap)):
+        if isinstance(c, (Comp, App)):
             return f"({go(c)})"
         return go(c)
 
-    def go(c: CatCode) -> str:
+    def go(c: CatCode | Term) -> str:
         match c:
-            case Ap(fun, arg):
+            case App(fun, arg):
                 f = f"({go(fun)})" if isinstance(fun, Comp) else go(fun)
                 return f"{f} {atom(arg)}"
             case AppC(left, right):
                 return f"$[{go(left)}, {go(right)}]"
             case LamC(body):
                 return f"L({go(body)})"
-            case QuoteC(KConst() as k) if expand_quotes:
+            case QuoteC(Const(v) as k) if expand_quotes and \
+                    type(v) is not IntLit:
                 return f"L({go(k)} o Snd)"
             case QuoteC(val):
                 return f"'{atom(val)}"
@@ -332,7 +320,7 @@ def print_cat(c: CatCode, expand_quotes: bool = False) -> str:
                 return f"{n}!"
             case Couple(left, right):
                 return f"<{go(left)}, {go(right)}>"
-            case PairV(left, right):
+            case PairLit(left, right):
                 return f"[{go(left)}, {go(right)}]"
             case FstC():
                 return "Fst"
@@ -344,14 +332,13 @@ def print_cat(c: CatCode, expand_quotes: bool = False) -> str:
                 return "eps"
             case UnitV():
                 return "()"
-            case KConst(v):
+            case Const(v):
                 return const_name(v)
-            case IntV(n):
-                return str(n)
         raise TypeError(f"not categorical code: {c!r}")
 
     return go(c)
 
 
-def cam_trace_lines(trace: tuple[tuple[str | None, CatCode], ...]) -> list[str]:
+def cam_trace_lines(
+        trace: tuple[tuple[str | None, CatCode | Term], ...]) -> list[str]:
     return [f"step {i}: {print_cat(code)}" for i, (_, code) in enumerate(trace)]

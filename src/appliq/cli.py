@@ -97,7 +97,7 @@ _PARSER = _build_parser()
 
 def _result_int(result) -> int | None:
     match result:
-        case Const(IntLit(n)) | cam.IntV(n):
+        case Const(IntLit(n)):
             return n
     return None
 
@@ -153,19 +153,17 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
             return EXIT_USAGE
 
-    if args.file:
-        try:
+    try:
+        if args.file:
             with open(args.file, encoding="utf-8") as fh:
                 source = fh.read()
-        except OSError as exc:
-            print(f"appliq: error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        source = sys.stdin.read()
-
-    try:
+        else:
+            source = sys.stdin.read()
         term = parse(source)
-    except (ParseError, RecursionError) as exc:
+    except OSError as exc:
+        print(f"appliq: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ParseError, RecursionError, UnicodeDecodeError) as exc:
         print(f"appliq: parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

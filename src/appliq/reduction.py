@@ -352,30 +352,6 @@ def delta_step(t: Term) -> Term | None:
     return None
 
 
-def eta_step(t: Term) -> Term | None:
-    """Contract the leftmost-outermost eta redex ``\\x. f x`` with ``x``
-    not free in ``f``, if any."""
-    match t:
-        case Lam(x, App(f, Var(x2))) if x == x2 and x not in free_vars(f):
-            return f
-        case Lam(x, body):
-            b = eta_step(body)
-            return Lam(x, b) if b is not None else None
-        case App(fun, arg):
-            f = eta_step(fun)
-            if f is not None:
-                return App(f, arg)
-            a = eta_step(arg)
-            return App(fun, a) if a is not None else None
-        case PairLit(left, right):
-            l = eta_step(left)
-            if l is not None:
-                return PairLit(l, right)
-            r = eta_step(right)
-            return PairLit(left, r) if r is not None else None
-    return None
-
-
 def _eta_redex(t: Lam) -> Term | None:
     """``f`` when ``t`` is ``\\x. f x`` with ``x`` not free in ``f``."""
     body = t.body
@@ -399,12 +375,19 @@ def _beta_delta(t: Term, path: list) -> tuple[Term, str] | None:
     return None
 
 
+def _eta(t: Term, path: list) -> tuple[Term, str] | None:
+    """The eta contraction of the abstraction ``t``, if any."""
+    if type(t) is Lam:
+        f = _eta_redex(t)
+        return (f, "eta") if f is not None else None
+    return None
+
+
 def _beta_delta_eta(t: Term, path: list) -> tuple[Term, str] | None:
     """:func:`_beta_delta`, or the eta contraction of the abstraction
     ``t``."""
     if type(t) is Lam:
-        f = _eta_redex(t)
-        return (f, "eta") if f is not None else None
+        return _eta(t, path)
     return _beta_delta(t, path)
 
 
@@ -416,6 +399,12 @@ def _rules(strategy: Strategy, use_eta: bool) -> Rules:
     # a contraction anywhere below it can enable it
     return Rules(TERM_FIELDS, before=rule,
                  reach=None if use_eta else REACH)
+
+
+def eta_step(t: Term) -> Term | None:
+    """Contract the leftmost-outermost eta redex ``\\x. f x`` with ``x``
+    not free in ``f``, if any."""
+    return step(t, Rules(TERM_FIELDS, before=_eta, reach=None))
 
 
 def beta_step(t: Term, use_eta: bool = False) -> Term | None:

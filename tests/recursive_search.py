@@ -7,13 +7,14 @@ strategy, rebuilding the path on the way back.  ``memo`` maps
 below start each call with an empty one, so every step is found from
 scratch.  The rules themselves (``delta_step``, ``subst``,
 ``_eta_redex``, ``_ignores_binder``, cam's ``_rule``, sc's
-``_substitute_params``) are the library's.  ``assert_same_states``
-compares a reducer's trace with a sequence of single steps.
+``_substitute_params``) are the library's; ``eta_step`` writes its
+rule inline and keeps no memo.  ``assert_same_states`` compares a
+reducer's trace with a sequence of single steps.
 """
 
 from __future__ import annotations
 
-from appliq.cam import Ap, AppC, CatCode, Comp, Couple, LamC, PairV, QuoteC
+from appliq.cam import AppC, CatCode, Comp, Couple, LamC, QuoteC
 from appliq.cam import _rule as cam_rule
 from appliq.reduction import _eta_redex, delta_step
 from appliq.ski import _ignores_binder
@@ -32,6 +33,7 @@ from appliq.syntax import (
     Term,
     Var,
     apps,
+    free_vars,
     subst,
 )
 
@@ -120,6 +122,33 @@ def applicative_step(t: Term, use_eta: bool = False) -> Term | None:
 
 
 # ---------------------------------------------------------------------------
+# eta alone: leftmost-outermost
+
+def eta_step(t: Term) -> Term | None:
+    """Contract the leftmost-outermost eta redex ``\\x. f x`` with ``x``
+    not free in ``f``, if any."""
+    match t:
+        case Lam(x, App(f, Var(x2))) if x == x2 and x not in free_vars(f):
+            return f
+        case Lam(x, body):
+            b = eta_step(body)
+            return Lam(x, b) if b is not None else None
+        case App(fun, arg):
+            f = eta_step(fun)
+            if f is not None:
+                return App(f, arg)
+            a = eta_step(arg)
+            return App(fun, a) if a is not None else None
+        case PairLit(left, right):
+            l = eta_step(left)
+            if l is not None:
+                return PairLit(l, right)
+            r = eta_step(right)
+            return PairLit(left, r) if r is not None else None
+    return None
+
+
+# ---------------------------------------------------------------------------
 # ski: leftmost-outermost, with the pair rule once both children are done
 
 def _ski_rule(t: App) -> Term | None:
@@ -168,22 +197,23 @@ def ski_step(t: Term) -> Term | None:
 # ---------------------------------------------------------------------------
 # cam: leftmost-innermost
 
-_PAIRS = (AppC, Couple, PairV, Comp)
+_PAIRS = (AppC, Couple, PairLit, Comp)
 
 
-def cam_rule_step(c: CatCode, primitive_only: bool,
-                  memo: dict[int, CatCode]) -> tuple[CatCode, str] | None:
+def cam_rule_step(c: CatCode | Term, primitive_only: bool,
+                  memo: dict[int, CatCode | Term]
+                  ) -> tuple[CatCode | Term, str] | None:
     kind = type(c)
-    if kind is Ap:
+    if kind is App:
         if id(c) in memo:
             return None
         x, y = c.fun, c.arg
         hit = cam_rule_step(x, primitive_only, memo)
         if hit is not None:
-            return Ap(hit[0], y), hit[1]
+            return App(hit[0], y), hit[1]
         hit = cam_rule_step(y, primitive_only, memo)
         if hit is not None:
-            return Ap(x, hit[0]), hit[1]
+            return App(x, hit[0]), hit[1]
         hit = cam_rule(c, primitive_only)
         if hit is not None:
             return hit
@@ -210,7 +240,7 @@ def cam_rule_step(c: CatCode, primitive_only: bool,
     return None
 
 
-def cam_step(c: CatCode) -> CatCode | None:
+def cam_step(c: CatCode | Term) -> CatCode | Term | None:
     hit = cam_rule_step(c, False, {})
     return hit[0] if hit is not None else None
 

@@ -8,15 +8,11 @@ from appliq.cam import (
     FST,
     SND,
     UNIT,
-    Ap,
     AppC,
     Bang,
     Comp,
     Couple,
-    IntV,
-    KConst,
     LamC,
-    PairV,
     QuoteC,
     cam_compile,
     cam_eval_closure,
@@ -28,7 +24,7 @@ from appliq.cam import (
 )
 from appliq.debruijn import encode
 from appliq.reduction import EvalConfig, Status, reduce
-from appliq.syntax import AddPair, Const, parse
+from appliq.syntax import AddPair, App, Const, IntLit, PairLit, intlit, parse
 from genterms import gen_int_term
 
 F_SOURCE = r"(\x. x [4, (\x. x) 3]) +"
@@ -48,9 +44,9 @@ def test_compile_worked_example_golden():
     code = _compile_source(F_SOURCE)
     assert code == AppC(
         LamC(AppC(Bang(0),
-                  Couple(QuoteC(IntV(4)),
-                         AppC(LamC(Bang(0)), QuoteC(IntV(3)))))),
-        QuoteC(KConst(AddPair())))
+                  Couple(QuoteC(intlit(4)),
+                         AppC(LamC(Bang(0)), QuoteC(intlit(3)))))),
+        QuoteC(Const(AddPair())))
     assert print_cat(code) == "$[L($[0!, <'4, $[L(0!), '3]>]), '+]"
     assert print_cat(code, expand_quotes=True) == GOLDEN_EXPANDED
 
@@ -61,40 +57,41 @@ def test_compile_identity():
 
 def test_compile_constant_quote():
     code = _compile_source("+")
-    assert code == QuoteC(KConst(AddPair()))
+    assert code == QuoteC(Const(AddPair()))
     assert print_cat(code, expand_quotes=True) == "L(+ o Snd)"
 
 
 def test_unfold_constant_quotes():
-    assert unfold_constant_quotes(QuoteC(KConst(AddPair()))) == \
-        LamC(Comp(KConst(AddPair()), SND))
+    assert unfold_constant_quotes(QuoteC(Const(AddPair()))) == \
+        LamC(Comp(Const(AddPair()), SND))
     # integer data keeps its quote
-    assert unfold_constant_quotes(QuoteC(IntV(4))) == QuoteC(IntV(4))
+    assert unfold_constant_quotes(QuoteC(intlit(4))) == QuoteC(intlit(4))
 
 
 # ---------------------------------------------------------------------------
 # single steps
 
 def test_step_snd():
-    rho = PairV(UNIT, PairV(IntV(4), IntV(3)))
-    assert cam_step(Ap(SND, rho)) == PairV(IntV(4), IntV(3))
+    rho = PairLit(UNIT, PairLit(intlit(4), intlit(3)))
+    assert cam_step(App(SND, rho)) == PairLit(intlit(4), intlit(3))
 
 
 def test_step_bang():
-    assert cam_step(Ap(Bang(0), PairV(UNIT, IntV(3)))) == IntV(3)
-    assert cam_step(Ap(Bang(2), PairV(PairV(PairV(UNIT, IntV(9)), IntV(1)),
-                                      IntV(2)))) == \
-        Ap(Bang(1), PairV(PairV(UNIT, IntV(9)), IntV(1)))
+    assert cam_step(App(Bang(0), PairLit(UNIT, intlit(3)))) == intlit(3)
+    assert cam_step(App(Bang(2), PairLit(PairLit(PairLit(UNIT, intlit(9)),
+                                                 intlit(1)),
+                                         intlit(2)))) == \
+        App(Bang(1), PairLit(PairLit(UNIT, intlit(9)), intlit(1)))
 
 
 def test_step_quote():
-    assert cam_step(Ap(QuoteC(IntV(4)), UNIT)) == IntV(4)
+    assert cam_step(App(QuoteC(intlit(4)), UNIT)) == intlit(4)
 
 
 def test_step_is_innermost():
-    inner = Ap(QuoteC(IntV(1)), UNIT)
-    outer = Ap(SND, PairV(inner, IntV(2)))
-    assert cam_step(outer) == Ap(SND, PairV(IntV(1), IntV(2)))
+    inner = App(QuoteC(intlit(1)), UNIT)
+    outer = App(SND, PairLit(inner, intlit(2)))
+    assert cam_step(outer) == App(SND, PairLit(intlit(1), intlit(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +99,7 @@ def test_step_is_innermost():
 
 def test_eval_worked_example_value():
     out = cam_eval_closure(_compile_source(F_SOURCE))
-    assert out.result == IntV(7)
+    assert out.result == intlit(7)
     assert out.status is Status.NORMAL_FORM
     assert out.steps_used == 14
 
@@ -125,12 +122,12 @@ def test_eval_trace_lines():
 
 
 def test_eval_lambda_via_eps():
-    state = Ap(EPS, PairV(Ap(LamC(Bang(0)), UNIT), IntV(5)))
+    state = App(EPS, PairLit(App(LamC(Bang(0)), UNIT), intlit(5)))
     seen = []
     while (nxt := cam_step(state)) is not None:
         state = nxt
         seen.append(state)
-    assert seen == [Ap(Bang(0), PairV(UNIT, IntV(5))), IntV(5)]
+    assert seen == [App(Bang(0), PairLit(UNIT, intlit(5))), intlit(5)]
 
 
 @pytest.mark.parametrize("primitive_only, closure", [
@@ -142,7 +139,7 @@ def test_eval_fix_unfolds_by_value(primitive_only, closure):
         code = expand_abbreviations(code)
     out = cam_eval_closure(code, collect_trace=True,
                            primitive_only=primitive_only)
-    assert out.result == IntV(4)
+    assert out.result == intlit(4)
     rules = [rule for rule, _ in out.trace[1:]]
     assert rules.count("fix") == 1
     # fix g -> g applied to the closure of \x. fix g x over [(), g]
@@ -157,13 +154,31 @@ def test_eval_budget():
     assert out.status is Status.BUDGET_EXHAUSTED
 
 
+def test_both_modes_reach_the_integer_term_of_beta():
+    # cam's integers are the object language's, built by delta_step
+    rng = random.Random(58)
+    terms = [parse(path.read_text()) for path in CORPUS]
+    terms += [gen_int_term(rng, rng.randint(1, 4)) for _ in range(200)]
+    checked = 0
+    for t in terms:
+        want = reduce(t, EvalConfig(max_steps=20000)).result
+        if type(want) is not Const or type(want.value) is not IntLit:
+            continue
+        code = cam_compile(encode(t))
+        assert cam_eval_closure(code, 20000).result == want
+        assert cam_eval_closure(expand_abbreviations(code), 20000,
+                                primitive_only=True).result == want
+        checked += 1
+    assert checked >= 200
+
+
 def test_cross_backend_sample():
     rng = random.Random(55)
     for _ in range(100):
         t = gen_int_term(rng, rng.randint(1, 4))
         expected = reduce(t, EvalConfig(max_steps=10000)).result
         out = cam_eval_closure(cam_compile(encode(t)), 10000)
-        assert out.result == IntV(expected.value.value)
+        assert out.result == intlit(expected.value.value)
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +191,9 @@ def test_expand_bang():
 
 
 def test_expand_app_and_quote():
-    x, y = Bang(0), QuoteC(IntV(3))
+    x, y = Bang(0), QuoteC(intlit(3))
     assert expand_abbreviations(AppC(x, y)) == \
-        Comp(EPS, Couple(SND, LamC(Comp(IntV(3), SND))))
+        Comp(EPS, Couple(SND, LamC(Comp(intlit(3), SND))))
 
 
 def test_abbreviation_coherence_on_corpus():
@@ -195,13 +210,13 @@ def test_abbreviation_coherence_on_corpus():
 
 def _ground_env(rng, depth):
     if depth <= 0:
-        return UNIT if rng.random() < 0.3 else IntV(rng.randint(-9, 9))
-    return PairV(_ground_env(rng, depth - 1), IntV(rng.randint(-9, 9)))
+        return UNIT if rng.random() < 0.3 else intlit(rng.randint(-9, 9))
+    return PairLit(_ground_env(rng, depth - 1), intlit(rng.randint(-9, 9)))
 
 
 def _ground_code(rng):
-    pool = [Bang(0), Bang(1), QuoteC(IntV(rng.randint(-9, 9))), SND,
-            LamC(Bang(0)), Couple(QuoteC(IntV(1)), Bang(0))]
+    pool = [Bang(0), Bang(1), QuoteC(intlit(rng.randint(-9, 9))), SND,
+            LamC(Bang(0)), Couple(QuoteC(intlit(1)), Bang(0))]
     return rng.choice(pool)
 
 
@@ -216,8 +231,8 @@ def test_derived_dollar_law():
     for _ in range(200):
         x, y = _ground_code(rng), _ground_code(rng)
         z = _ground_env(rng, rng.randint(1, 3))
-        lhs = _norm(Ap(AppC(x, y), z))
-        rhs = _norm(Ap(EPS, PairV(Ap(x, z), Ap(y, z))))
+        lhs = _norm(App(AppC(x, y), z))
+        rhs = _norm(App(EPS, PairLit(App(x, z), App(y, z))))
         assert lhs == rhs and lhs is not None
 
 
@@ -228,6 +243,6 @@ def test_quote_law():
         x = _ground_code(rng)
         y = _ground_env(rng, rng.randint(0, 2))
         z = _ground_env(rng, rng.randint(1, 3))
-        lhs = _norm(Ap(Ap(QuoteC(x), y), z))
-        rhs = _norm(Ap(x, z))
+        lhs = _norm(App(App(QuoteC(x), y), z))
+        rhs = _norm(App(x, z))
         assert lhs == rhs and lhs is not None

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +106,26 @@ def test_usage_bad_max_steps(tmp_path, capsys):
 
 def test_missing_file(capsys):
     assert cli.main(["/nonexistent/q.lam"]) == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("from_file", [True, False], ids=["file", "stdin"])
+def test_source_not_utf8_is_parse_error(from_file, tmp_path):
+    # a subprocess, so that stdin is decoded strictly as UTF-8
+    source = b"\xff add 1 2"
+    path = tmp_path / "bad.lam"
+    path.write_bytes(source)
+    paths = [str(Path(__file__).parent.parent / "src")] + \
+        [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(paths))
+    args = [str(path)] if from_file else []
+    proc = subprocess.run([sys.executable, "-m", "appliq.cli", *args],
+                          input=b"" if from_file else source,
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == cli.EXIT_PARSE
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"appliq: parse error: ")
+    assert proc.stderr.count(b"\n") == 1
 
 
 def test_stdin_input(monkeypatch, capsys):

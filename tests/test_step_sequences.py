@@ -19,24 +19,30 @@ from hypothesis import strategies as st
 
 from appliq.cam import (
     UNIT,
-    Ap,
     cam_compile,
     cam_eval_closure,
     expand_abbreviations,
     unfold_constant_quotes,
 )
 from appliq.debruijn import encode
-from appliq.reduction import EvalConfig, Strategy, reduce
+from appliq.reduction import EvalConfig, Strategy, eta_step, reduce
 from appliq.ski import Mode, ski_compile, ski_reduce
 from appliq.superc import lift, sc_reduce
-from appliq.syntax import Term, desugar_pairs, parse
-from genterms import church_source, gen_fix_term, gen_int_term, sharing_source
+from appliq.syntax import App, Lam, PairLit, Term, Var, desugar_pairs, parse
+from genterms import (
+    church_source,
+    gen_fix_term,
+    gen_int_term,
+    gen_small_term,
+    sharing_source,
+)
 from recursive_search import (
     applicative_step,
     assert_same_states,
     beta_step,
     cam_rule_step,
     cam_step,
+    eta_step as recursive_eta_step,
     sc_step as _sc_step,
     ski_step,
 )
@@ -106,7 +112,7 @@ def _check_all_modes(t: Term, budget: int = BUDGET) -> None:
 
     code = cam_compile(encode(t))
     out = cam_eval_closure(code, budget, collect_trace=True)
-    start = Ap(unfold_constant_quotes(code), UNIT)
+    start = App(unfold_constant_quotes(code), UNIT)
     assert_same_states("cam", out.trace, _cam_iterate(start, False, budget))
     assert_same_states("cam code", [c for _, c in out.trace],
                        _iterate(cam_step, start, budget))
@@ -115,7 +121,7 @@ def _check_all_modes(t: Term, budget: int = BUDGET) -> None:
     out = cam_eval_closure(expanded, budget, collect_trace=True,
                            primitive_only=True)
     assert_same_states("cam primitive", out.trace,
-                       _cam_iterate(Ap(expanded, UNIT), True, budget))
+                       _cam_iterate(App(expanded, UNIT), True, budget))
 
     prog = lift(t)
     defs = {d.name: d for d in prog.defs}
@@ -166,3 +172,31 @@ def test_traces_match_single_steps_on_deep_and_growing_terms(source):
 ], ids=["shared-partial-application", "far-eta"])
 def test_traces_match_single_steps_where_a_rule_reaches_far(source):
     _check_all_modes(parse(source))
+
+
+def _eta_wrapped(rng: random.Random, t: Term) -> Term:
+    """``t`` with random subterms ``u`` replaced by ``\\v. u v``; ``v`` is
+    drawn from the generator's names and ``e``, so it is sometimes free
+    in ``u`` and the wrapper then is no eta redex."""
+    match t:
+        case App(fun, arg):
+            t = App(_eta_wrapped(rng, fun), _eta_wrapped(rng, arg))
+        case Lam(binder, body):
+            t = Lam(binder, _eta_wrapped(rng, body))
+        case PairLit(left, right):
+            t = PairLit(_eta_wrapped(rng, left), _eta_wrapped(rng, right))
+    if rng.random() < 0.25:
+        v = rng.choice("xyze")
+        t = Lam(v, App(t, Var(v)))
+    return t
+
+
+def test_eta_steps_match_the_recursive_search():
+    rng = random.Random(59)
+    with_redex = 0
+    for _ in range(2000):
+        t = _eta_wrapped(rng, gen_small_term(rng, rng.randint(0, 4)))
+        with_redex += recursive_eta_step(t) is not None
+        assert_same_states("eta", _iterate(eta_step, t),
+                           _iterate(recursive_eta_step, t))
+    assert with_redex >= 500
