@@ -1,6 +1,10 @@
 """De Bruijn encoding, categorical-combinator compilation, and
 evaluation by closure.
 
+The de Bruijn form and the categorical code are one object printed in
+two notations: index n is n!, application $[.,.], abstraction L(.), a
+pair <.,.> and a constant its quote 'c (Curien 1986).
+
 Run with:  python3 demos/03_categorical_machine.py
 """
 
@@ -14,7 +18,7 @@ term = parse(SOURCE)
 dterm = encode(term)
 print(f"source term:        {SOURCE}")
 print(f"de Bruijn form:     {print_dterm(dterm)}")
-code = cam_compile(dterm)
+code = cam_compile(dterm)  # the same object: encoding did the compiling
 print(f"categorical code:   {print_cat(code)}")
 print(f"with quotes spelt:  {print_cat(code, expand_quotes=True)}")
 print()

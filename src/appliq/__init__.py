@@ -16,7 +16,7 @@ from .cam import (
     expand_abbreviations,
     print_cat,
 )
-from .debruijn import DTerm, decode, encode, print_dterm
+from .debruijn import decode, encode, print_dterm
 from .reduction import (
     EvalConfig,
     Outcome,

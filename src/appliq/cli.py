@@ -186,11 +186,12 @@ def main(argv: list[str] | None = None) -> int:
         backends = []
         values: list[int | None] = []
         for name in names:
-            rep, value, lines = _run_backend(name, term, ski_mode,
-                                             args.max_steps, args.trace)
+            rep, value, lines = _run_backend(
+                name, term, ski_mode, args.max_steps,
+                args.trace and not args.as_json)
             backends.append(rep)
             values.append(value)
-            if args.trace and not args.as_json:
+            if lines:
                 if len(names) > 1:
                     print(f"-- {name} --")
                 for line in lines:

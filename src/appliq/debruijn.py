@@ -2,16 +2,21 @@
 
 An index counts the lambdas strictly between a variable occurrence and
 its binder, so ``\\y. (\\x y. x) y`` becomes ``\\.((\\.\\.#1) #0)``.
+
+De Bruijn terms are cam's abbreviated categorical combinators (Curien,
+*Categorical combinators*, Inf. & Control 69, 1986): index n is ``n!``,
+a constant ``c`` is ``'c``, application is ``$[.,.]``, abstraction is
+``L(.)`` and a pair is ``<.,.>``.  So :func:`encode` builds those nodes
+of :mod:`appliq.cam` directly, and :func:`decode` reads compiled code
+back; :func:`print_dterm` prints them in de Bruijn notation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .cam import AppC, Bang, CatCode, Couple, LamC, QuoteC
 from .syntax import (
     App,
     Const,
-    ConstVal,
     FreeVariableError,
     Lam,
     PairLit,
@@ -21,102 +26,71 @@ from .syntax import (
 )
 
 
-class DTerm:
-    """Base class for de Bruijn terms."""
-
-
-@dataclass(frozen=True)
-class Index(DTerm):
-    n: int
-
-
-@dataclass(frozen=True)
-class DConst(DTerm):
-    value: ConstVal
-
-
-@dataclass(frozen=True)
-class DApp(DTerm):
-    fun: DTerm
-    arg: DTerm
-
-
-@dataclass(frozen=True)
-class DLam(DTerm):
-    body: DTerm
-
-
-@dataclass(frozen=True)
-class DPair(DTerm):
-    left: DTerm
-    right: DTerm
-
-
 class DanglingIndexError(Exception):
     def __init__(self, n: int):
         super().__init__(f"dangling de Bruijn index: #{n}")
         self.n = n
 
 
-def encode(t: Term) -> DTerm:
+def encode(t: Term) -> CatCode:
     """Encode a closed named term; raises :class:`FreeVariableError`
     naming the first offending identifier."""
 
-    def go(t: Term, binders: list[str]) -> DTerm:
+    def go(t: Term, binders: list[str]) -> CatCode:
         match t:
             case Var(name):
                 for depth, b in enumerate(reversed(binders)):
                     if b == name:
-                        return Index(depth)
+                        return Bang(depth)
                 raise FreeVariableError(name)
-            case Const(c):
-                return DConst(c)
+            case Const():
+                return QuoteC(t)
             case App(fun, arg):
-                return DApp(go(fun, binders), go(arg, binders))
+                return AppC(go(fun, binders), go(arg, binders))
             case Lam(binder, body):
-                return DLam(go(body, binders + [binder]))
+                return LamC(go(body, binders + [binder]))
             case PairLit(left, right):
-                return DPair(go(left, binders), go(right, binders))
+                return Couple(go(left, binders), go(right, binders))
         raise TypeError(f"not a term: {t!r}")
 
     return go(t, [])
 
 
-def decode(d: DTerm) -> Term:
+def decode(d: CatCode) -> Term:
     """Decode with binder names assigned by depth (v0, v1, ...)."""
 
-    def go(d: DTerm, depth: int) -> Term:
+    def go(d: CatCode, depth: int) -> Term:
         match d:
-            case Index(n):
+            case Bang(n):
                 if n >= depth:
                     raise DanglingIndexError(n)
                 return Var(f"v{depth - 1 - n}")
-            case DConst(c):
-                return Const(c)
-            case DApp(fun, arg):
+            case QuoteC(Const() as k):
+                return k
+            case AppC(fun, arg):
                 return App(go(fun, depth), go(arg, depth))
-            case DLam(body):
+            case LamC(body):
                 return Lam(f"v{depth}", go(body, depth + 1))
-            case DPair(left, right):
+            case Couple(left, right):
                 return PairLit(go(left, depth), go(right, depth))
         raise TypeError(f"not a de Bruijn term: {d!r}")
 
     return go(d, 0)
 
 
-def print_dterm(d: DTerm) -> str:
-    def go(d: DTerm) -> str:
+def print_dterm(d: CatCode) -> str:
+    def go(d: CatCode) -> str:
         match d:
-            case Index(n):
+            case Bang(n):
                 return f"#{n}"
-            case DConst(c):
+            case QuoteC(Const(c)):
                 return const_name(c)
-            case DApp(fun, arg):
-                f = f"({go(fun)})" if isinstance(fun, DLam) else go(fun)
+            case AppC(fun, arg):
+                f = f"({go(fun)})" if isinstance(fun, LamC) else go(fun)
                 return f"({f} {go(arg)})"
-            case DLam(body):
+            case LamC(body):
                 return f"\\.{go(body)}"
-            case DPair(left, right):
+            case Couple(left, right):
                 return f"[{go(left)}, {go(right)}]"
         raise TypeError(f"not a de Bruijn term: {d!r}")
 

@@ -154,6 +154,26 @@ def test_json_roundtrips_to_text(tmp_path, capsys):
         {"beta", "ski", "cam", "sc"}
 
 
+@pytest.mark.parametrize("flags, collected", [
+    (["--trace"], True),
+    (["--json", "--trace"], False),
+])
+def test_trace_is_collected_only_when_printed(flags, collected, tmp_path,
+                                              monkeypatch, capsys):
+    # --json prints no trace, so collecting one would be wasted work
+    seen = []
+    reduce_ = cli.reduce
+
+    def recording(term, config, collect_trace=False):
+        seen.append(collect_trace)
+        return reduce_(term, config, collect_trace=collect_trace)
+
+    monkeypatch.setattr(cli, "reduce", recording)
+    assert cli.main([_write(tmp_path, F_SOURCE)] + flags) == cli.EXIT_OK
+    capsys.readouterr()
+    assert seen == [collected]
+
+
 def test_json_single_backend_agreement_null(tmp_path, capsys):
     path = _write(tmp_path, "add 1 2")
     assert cli.main([path, "--json"]) == cli.EXIT_OK

@@ -2,19 +2,11 @@ import random
 
 import pytest
 
-from appliq.debruijn import (
-    DApp,
-    DConst,
-    DLam,
-    DPair,
-    DanglingIndexError,
-    Index,
-    decode,
-    encode,
-    print_dterm,
-)
+from appliq.cam import AppC, Bang, Couple, LamC, QuoteC, cam_compile
+from appliq.debruijn import DanglingIndexError, decode, encode, print_dterm
 from appliq.syntax import (
     AddPair,
+    Const,
     FreeVariableError,
     IntLit,
     Lam,
@@ -27,21 +19,21 @@ from genterms import gen_closed_lambda, gen_int_term
 
 def test_encode_shadowing_example():
     d = encode(parse(r"\y. (\x y. x) y"))
-    assert d == DLam(DApp(DLam(DLam(Index(1))), Index(0)))
+    assert d == LamC(AppC(LamC(LamC(Bang(1))), Bang(0)))
     assert print_dterm(d) == r"\.((\.\.#1) #0)"
 
 
 def test_encode_applied_pair_term():
     d = encode(parse(r"(\x. x [4, (\x. x) 3]) +"))
-    assert d == DApp(
-        DLam(DApp(Index(0),
-                  DPair(DConst(IntLit(4)),
-                        DApp(DLam(Index(0)), DConst(IntLit(3)))))),
-        DConst(AddPair()))
+    assert d == AppC(
+        LamC(AppC(Bang(0),
+                  Couple(QuoteC(Const(IntLit(4))),
+                         AppC(LamC(Bang(0)), QuoteC(Const(IntLit(3))))))),
+        QuoteC(Const(AddPair())))
 
 
 def test_encode_identity():
-    assert encode(parse(r"\x. x")) == DLam(Index(0))
+    assert encode(parse(r"\x. x")) == LamC(Bang(0))
 
 
 def test_encode_rejects_open_terms():
@@ -51,17 +43,17 @@ def test_encode_rejects_open_terms():
 
 
 def test_decode_identity():
-    assert decode(DLam(Index(0))) == Lam("v0", Var("v0"))
+    assert decode(LamC(Bang(0))) == Lam("v0", Var("v0"))
 
 
 def test_decode_shadowing_example():
-    t = decode(DLam(DApp(DLam(DLam(Index(1))), Index(0))))
+    t = decode(LamC(AppC(LamC(LamC(Bang(1))), Bang(0))))
     assert alpha_eq(t, parse(r"\y. (\x y. x) y"))
 
 
 def test_decode_dangling_index():
     with pytest.raises(DanglingIndexError):
-        decode(DLam(Index(3)))
+        decode(LamC(Bang(3)))
 
 
 def test_roundtrip_random_closed_terms():
@@ -70,6 +62,7 @@ def test_roundtrip_random_closed_terms():
         t = gen_closed_lambda(rng, rng.randint(0, 7)) if rng.random() < 0.6 \
             else gen_int_term(rng, rng.randint(0, 4))
         assert alpha_eq(decode(encode(t)), t)
+        assert alpha_eq(decode(cam_compile(encode(t))), t)
 
 
 def test_encode_is_canonical():
@@ -84,5 +77,5 @@ def test_encode_is_canonical():
 
 
 def test_printer_ascii():
-    assert print_dterm(Index(2)) == "#2"
-    assert print_dterm(DPair(DConst(IntLit(1)), Index(0))) == "[1, #0]"
+    assert print_dterm(Bang(2)) == "#2"
+    assert print_dterm(Couple(QuoteC(Const(IntLit(1))), Bang(0))) == "[1, #0]"
