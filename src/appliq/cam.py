@@ -26,11 +26,11 @@ innermost strategy does not unfold it forever.
 
 Values and juxtaposition are object-language terms: ``x y`` is an
 ``App``, a pair value ``[x,y]`` a ``PairLit`` and a quoted constant a
-``Const``, so cam shares its arithmetic with the other backends; only
-the combinators above are cam's own.  Environments are pair spines
-terminating in (); quoted non-integer constants are unfolded to
-L(c o Snd) before evaluation so they survive being stored in an
-environment and applied later.
+``Const``, so cam shares its arithmetic with the other backends.  Fst,
+Snd, eps and () are ``Combinator`` constants, like ski's I, K and S.
+Environments are pair spines terminating in (); quoted non-integer
+constants are unfolded to L(c o Snd) before evaluation so they survive
+being stored in an environment and applied later.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .reduction import (
 )
 from .syntax import (
     App,
+    Combinator,
     Const,
     FixConst,
     IntLit,
@@ -59,8 +60,8 @@ from .syntax import (
 
 
 class CatCode:
-    """Base class for cam's own combinators.  Values and juxtaposition
-    are object-language terms: a state is built from these and from
+    """Base class for cam's combinators that take code.  Values,
+    juxtaposition and Fst, Snd, eps and () are object-language terms:
     ``App``, ``PairLit`` and ``Const``."""
 
 
@@ -92,38 +93,19 @@ class Couple(CatCode):
 
 
 @dataclass(frozen=True)
-class FstC(CatCode):
-    pass
-
-
-@dataclass(frozen=True)
-class SndC(CatCode):
-    pass
-
-
-@dataclass(frozen=True)
 class Comp(CatCode):
     left: CatCode | Term
     right: CatCode
 
 
-@dataclass(frozen=True)
-class Eps(CatCode):
-    pass
-
-
-@dataclass(frozen=True)
-class UnitV(CatCode):
-    pass
-
-
 # Integer values are ``Const(IntLit(n))``; the name stays for callers.
 IntV = intlit
 
-UNIT = UnitV()
-EPS = Eps()
-FST = FstC()
-SND = SndC()
+# The argument-free combinators, told apart by identity like ski's I, K, S.
+UNIT = Const(Combinator("()"))
+EPS = Const(Combinator("eps"))
+FST = Const(Combinator("Fst"))
+SND = Const(Combinator("Snd"))
 
 
 def cam_compile(d: CatCode) -> CatCode:
@@ -192,9 +174,9 @@ def _rule(c: CatCode | Term,
           primitive_only: bool) -> tuple[CatCode | Term, str] | None:
     """The rewrite rule for ``c``, if any; every rule has a
     juxtaposition at its root.  Rules are picked by the type of the
-    applied code, so a juxtaposition no rule fits costs a few type
-    checks.  Arithmetic is :func:`delta_step`'s; ``fix`` is cam's own
-    by-value rule, tried first."""
+    applied code, or by identity for Fst, Snd and eps, so a juxtaposition
+    no rule fits costs a few checks.  Arithmetic is :func:`delta_step`'s;
+    ``fix`` is cam's own by-value rule, tried before it."""
     if type(c) is not App:
         return None
     f, z = c.fun, c.arg
@@ -206,6 +188,17 @@ def _rule(c: CatCode | Term,
     if kind is PairLit:
         # defining equation of the pairing combinator: [x,y] z = z x y
         return App(App(z, f.left), f.right), "pair"
+    if f is EPS or f is FST or f is SND:
+        if type(z) is not PairLit:
+            return None
+        if f is FST:
+            return z.left, "fst"
+        if f is SND:
+            return z.right, "snd"
+        x = z.left
+        if type(x) is App and type(x.fun) is LamC:
+            return App(x.fun.body, PairLit(x.arg, z.right)), "ac"
+        return App(x, z.right), "eps"
     if kind is Const and type(f.value) is FixConst:
         body = _FIX_BODY_PRIMITIVE if primitive_only else _FIX_BODY
         return App(EPS, PairLit(z, App(LamC(body), PairLit(UNIT, z)))), "fix"
@@ -224,21 +217,10 @@ def _rule(c: CatCode | Term,
         # the quote rule read through 'M = L(M o Snd)
         body = f.body
         if primitive_only and type(body) is Comp and \
-                type(body.right) is SndC:
+                body.right is SND:
             return body.left, "quote"
         return None
-    if type(z) is not PairLit:
-        return None
-    if kind is Eps:
-        x = z.left
-        if type(x) is App and type(x.fun) is LamC:
-            return App(x.fun.body, PairLit(x.arg, z.right)), "ac"
-        return App(x, z.right), "eps"
-    if kind is FstC:
-        return z.left, "fst"
-    if kind is SndC:
-        return z.right, "snd"
-    if kind is Bang and not primitive_only:
+    if kind is Bang and not primitive_only and type(z) is PairLit:
         if f.n == 0:
             return z.right, "bang"
         if f.n > 0:
@@ -314,16 +296,8 @@ def print_cat(c: CatCode | Term, expand_quotes: bool = False) -> str:
                 return f"<{go(left)}, {go(right)}>"
             case PairLit(left, right):
                 return f"[{go(left)}, {go(right)}]"
-            case FstC():
-                return "Fst"
-            case SndC():
-                return "Snd"
             case Comp(left, right):
                 return f"{atom(left)} o {atom(right)}"
-            case Eps():
-                return "eps"
-            case UnitV():
-                return "()"
             case Const(v):
                 return const_name(v)
         raise TypeError(f"not categorical code: {c!r}")

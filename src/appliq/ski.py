@@ -38,29 +38,19 @@ from .syntax import (
     S,
     Term,
     Var,
-    apps,
     desugar_pairs,
     print_term,
 )
 
 # Names from before compiled code became a ``Term``.  ``cli`` prints ski
 # code through ``print_comb``, so that ski printing has its own entry point.
-CombTerm, CApp, CVar, CConst, capps = Term, App, Var, Const, apps
+CombTerm, CConst = Term, Const
 print_comb, ski_trace_lines = print_term, trace_lines
 
 
 class Mode(enum.Enum):
     NAIVE = "naive"
     OPTIMIZED = "optimized"
-
-
-def occurs(x: str, t: Term) -> bool:
-    match t:
-        case Var(name):
-            return name == x
-        case App(fun, arg):
-            return occurs(x, fun) or occurs(x, arg)
-    return False
 
 
 def bracket_abstract(x: str, body: Term, mode: Mode = Mode.OPTIMIZED) -> Term:

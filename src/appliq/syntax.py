@@ -61,7 +61,9 @@ class FixConst(ConstVal):
 
 @dataclass(frozen=True)
 class Combinator(ConstVal):
-    """``I``, ``K`` or ``S`` in compiled SKI code; never parsed."""
+    """An argument-free combinator, never parsed: ski's ``I``, ``K`` and
+    ``S``, or cam's ``Fst``, ``Snd``, ``eps`` and ``()``.  Each is one
+    ``Const`` singleton that the rules tell apart by identity."""
     name: str
 
 

@@ -3,7 +3,7 @@ they replaced.
 
 The references below are the earlier implementations, kept here only as
 test oracles: lambda lifting by repeated extraction from the root,
-bracket abstraction guarded by an ``occurs`` walk at every level,
+bracket abstraction guarded by a free-variable check at every level,
 unification that rebuilds the substitution on every call, and the
 per-character tokenizer.  Printed programs, combinator code in both
 modes, type strings, error messages and token lists must be identical.
@@ -22,15 +22,12 @@ from hypothesis import strategies as st
 
 from appliq import syntax
 from appliq.ski import (
-    CApp,
     CombTerm,
     CConst,
-    CVar,
     I,
     K,
     Mode,
     S,
-    occurs,
     print_comb,
     ski_compile,
 )
@@ -143,29 +140,29 @@ def ref_lift(t: Term) -> ScProgram:
 
 
 # ---------------------------------------------------------------------------
-# Reference: bracket abstraction with an occurs check at every level
+# Reference: bracket abstraction with a free-variable check at every level
 
 def ref_bracket_abstract(x: str, body: CombTerm, mode: Mode) -> CombTerm:
-    if body == CVar(x):
+    if body == Var(x):
         return I
-    if mode is Mode.OPTIMIZED and not occurs(x, body):
-        return CApp(K, body)
+    if mode is Mode.OPTIMIZED and x not in free_vars(body):
+        return App(K, body)
     match body:
-        case CApp(fun, arg):
-            return CApp(CApp(S, ref_bracket_abstract(x, fun, mode)),
-                        ref_bracket_abstract(x, arg, mode))
-    return CApp(K, body)
+        case App(fun, arg):
+            return App(App(S, ref_bracket_abstract(x, fun, mode)),
+                       ref_bracket_abstract(x, arg, mode))
+    return App(K, body)
 
 
 def ref_ski_compile(t: Term, mode: Mode) -> CombTerm:
     def go(t: Term) -> CombTerm:
         match t:
             case Var(name):
-                return CVar(name)
+                return Var(name)
             case Const(c):
                 return CConst(c)
             case App(fun, arg):
-                return CApp(go(fun), go(arg))
+                return App(go(fun), go(arg))
             case Lam(binder, body):
                 return ref_bracket_abstract(binder, go(body), mode)
         raise TypeError(t)

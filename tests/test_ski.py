@@ -2,24 +2,31 @@ import random
 
 from appliq.reduction import EvalConfig, Status, reduce
 from appliq.ski import (
-    CApp,
     CConst,
-    CVar,
     I,
     K,
     Mode,
     S,
     bracket_abstract,
-    capps,
     comb_size,
-    occurs,
     print_comb,
     ski_compile,
     ski_reduce,
     ski_step,
     ski_trace_lines,
 )
-from appliq.syntax import Const, IntLit, Opaque, alpha_eq, intlit, parse
+from appliq.syntax import (
+    App,
+    Const,
+    IntLit,
+    Opaque,
+    Var,
+    alpha_eq,
+    apps,
+    free_vars,
+    intlit,
+    parse,
+)
 from genterms import gen_closed_lambda, gen_int_term, uniquify
 
 CURRIED_F = r"(\x. x 4 ((\x. x) 3)) add"
@@ -34,24 +41,24 @@ def _lit(n):
 # bracket abstraction
 
 def test_bracket_variable_is_identity():
-    assert bracket_abstract("x", CVar("x"), Mode.NAIVE) == I
-    assert bracket_abstract("x", CVar("x"), Mode.OPTIMIZED) == I
+    assert bracket_abstract("x", Var("x"), Mode.NAIVE) == I
+    assert bracket_abstract("x", Var("x"), Mode.OPTIMIZED) == I
 
 
 def test_bracket_constant():
-    assert bracket_abstract("x", _lit(4), Mode.NAIVE) == CApp(K, _lit(4))
+    assert bracket_abstract("x", _lit(4), Mode.NAIVE) == App(K, _lit(4))
 
 
 def test_bracket_application():
-    got = bracket_abstract("x", CApp(CVar("x"), _lit(4)), Mode.NAIVE)
-    assert got == capps(S, I, CApp(K, _lit(4)))
+    got = bracket_abstract("x", App(Var("x"), _lit(4)), Mode.NAIVE)
+    assert got == apps(S, I, App(K, _lit(4)))
 
 
 def test_bracket_optimized_shortcuts_applications():
-    body = CApp(CVar("y"), _lit(4))
-    assert bracket_abstract("x", body, Mode.OPTIMIZED) == CApp(K, body)
+    body = App(Var("y"), _lit(4))
+    assert bracket_abstract("x", body, Mode.OPTIMIZED) == App(K, body)
     naive = bracket_abstract("x", body, Mode.NAIVE)
-    assert naive == capps(S, CApp(K, CVar("y")), CApp(K, _lit(4)))
+    assert naive == apps(S, App(K, Var("y")), App(K, _lit(4)))
 
 
 def test_bracket_eliminates_variable():
@@ -59,9 +66,9 @@ def test_bracket_eliminates_variable():
     for _ in range(300):
         body = ski_compile(gen_closed_lambda(rng, rng.randint(0, 5)))
         for mode in Mode:
-            assert not occurs("x", bracket_abstract("x", body, mode))
-            assert not occurs("w", bracket_abstract("w", CApp(body, CVar("w")),
-                                                    mode))
+            assert "x" not in free_vars(bracket_abstract("x", body, mode))
+            got = bracket_abstract("w", App(body, Var("w")), mode)
+            assert "w" not in free_vars(got)
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +86,7 @@ def test_compile_identity():
 def test_compile_const_behavioral():
     code = ski_compile(parse(r"\x y. x"), Mode.OPTIMIZED)
     a, b = CConst(Opaque("a")), CConst(Opaque("b"))
-    out = ski_reduce(capps(code, a, b), 1000)
+    out = ski_reduce(apps(code, a, b), 1000)
     assert out.result == a
 
 
@@ -105,10 +112,10 @@ def test_optimized_never_larger():
 # reduction
 
 def test_step_axioms():
-    x, y, z = CVar("x"), CVar("y"), CVar("z")
-    assert ski_step(CApp(I, x)) == x
-    assert ski_step(capps(K, x, y)) == x
-    assert ski_step(capps(S, x, y, z)) == CApp(CApp(x, z), CApp(y, z))
+    x, y, z = Var("x"), Var("y"), Var("z")
+    assert ski_step(App(I, x)) == x
+    assert ski_step(apps(K, x, y)) == x
+    assert ski_step(apps(S, x, y, z)) == App(App(x, z), App(y, z))
 
 
 def test_step_worked_example_first_step():
@@ -128,8 +135,8 @@ def test_reduce_worked_example_chain():
 
 def test_reduce_budget():
     # S I I (S I I) loops forever
-    sii = capps(S, I, I)
-    out = ski_reduce(CApp(sii, sii), 50)
+    sii = apps(S, I, I)
+    out = ski_reduce(App(sii, sii), 50)
     assert out.status is Status.BUDGET_EXHAUSTED
 
 
@@ -176,6 +183,6 @@ def test_plus_of_a_non_pair_stays_stuck():
 
 
 def test_printer_minimal_parens():
-    t = capps(S, CApp(K, I), CVar("x"))
+    t = apps(S, App(K, I), Var("x"))
     assert print_comb(t) == "S (K I) x"
-    assert print_comb(capps(CVar("f"), CVar("x"), CVar("y"))) == "f x y"
+    assert print_comb(apps(Var("f"), Var("x"), Var("y"))) == "f x y"
